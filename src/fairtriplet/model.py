@@ -151,26 +151,17 @@ def triplet_loss(z_a: np.ndarray, z_p: np.ndarray, z_n: np.ndarray, margin: floa
     return max(d_ap - d_an + margin, 0.0)
 
 
-def _triplet_arrays(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(triplets, tuple) and len(triplets) == 3:
-        a, p, n = (np.asarray(t, dtype=np.int64) for t in triplets)
-    else:
-        a = np.fromiter((t.anchor_index for t in triplets), dtype=np.int64)
-        p = np.fromiter((t.positive_index for t in triplets), dtype=np.int64)
-        n = np.fromiter((t.negative_index for t in triplets), dtype=np.int64)
-    return a, p, n
-
-
 def loss_gradients(net: EmbeddingNetwork, features: np.ndarray, triplets,
                    margin: float) -> tuple[float, list[np.ndarray]]:
     """Mean triplet loss over a minibatch and its parameter gradients.
 
-    ``features`` is the flattened image matrix the triplet indices point
-    into. Only images referenced by the minibatch are embedded. Triplets on
-    the flat side of the hinge contribute zero loss and zero gradient but
-    still count in the mean.
+    ``triplets`` is an ``(anchor, positive, negative)`` triple of index
+    arrays into ``features``, the flattened image matrix. Only images
+    referenced by the minibatch are embedded. Triplets on the flat side of
+    the hinge contribute zero loss and zero gradient but still count in the
+    mean.
     """
-    a_idx, p_idx, n_idx = _triplet_arrays(triplets)
+    a_idx, p_idx, n_idx = (np.asarray(t, dtype=np.int64) for t in triplets)
     t = len(a_idx)
     if t == 0:
         raise ValueError("minibatch must be nonempty")

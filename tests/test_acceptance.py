@@ -248,15 +248,15 @@ def test_criterion_3_miner_oracle():
         trips = mine_semi_hard(batch, margin, rng)
         ids = batch.identity_ids
         n = batch.n
-        for t in trips:
-            if t.anchor_domain == "selfie":
-                assert t.anchor_index < n and t.positive_index >= n and t.negative_index >= n
-                a, p, neg = t.anchor_index, t.positive_index - n, t.negative_index - n
+        for anchor, positive, negative in zip(*trips):
+            if anchor < n:  # selfie anchor
+                assert anchor < n and positive >= n and negative >= n
+                a, p, neg = anchor, positive - n, negative - n
             else:
-                assert t.anchor_index >= n and t.positive_index < n and t.negative_index < n
-                a, p, neg = t.anchor_index - n, t.positive_index, t.negative_index
+                assert anchor >= n and positive < n and negative < n
+                a, p, neg = anchor - n, positive, negative
             assert a == p and ids[a] == ids[p] and ids[neg] != ids[a]
-        total += len(trips)
+        total += len(trips[0])
     assert total >= 100_000
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from fairtriplet.core import normalize_rows, squared_distance
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 from fairtriplet.mining import (
     MiningBatch,
-    Triplet,
     assemble_batch,
     mine_semi_hard,
     schedule_minibatches,
@@ -49,6 +50,67 @@ def brute_force_candidates(batch, margin):
         out[(i, "selfie")] = sel
         out[(i, "doc")] = doc
     return out
+
+
+def reference_mine(batch, margin, rng):
+    """Loop-based reference for the picks: walk the anchors in mining order
+    and draw uniformly from semi_hard_candidates with one uniform each."""
+    n = batch.n
+    cands = semi_hard_candidates(batch, margin)
+    anchor, positive, negative = [], [], []
+    for domain in ("selfie", "doc"):
+        for i in range(n):
+            c = cands[(i, domain)]
+            if len(c) == 0:
+                continue
+            j = int(c[int(rng.random() * len(c))])
+            if domain == "selfie":
+                anchor.append(i), positive.append(n + i), negative.append(n + j)
+            else:
+                anchor.append(n + i), positive.append(i), negative.append(j)
+    return tuple(np.array(x, dtype=np.int64) for x in (anchor, positive, negative))
+
+
+def fixed_batch(selfies, docs):
+    """A mining batch of distinct identities with the given unit embeddings."""
+    n = len(selfies)
+    return MiningBatch(
+        pair_indices=np.arange(n),
+        identity_ids=np.arange(n, dtype=np.int64),
+        groups=np.array(["g"] * n),
+        selfie_features=selfies,
+        doc_features=docs,
+        selfie_emb=selfies,
+        doc_emb=docs,
+    )
+
+
+def one_sided_batch(copies):
+    """2 * copies slots in 2 * copies dimensions where only the doc anchors
+    have semi-hard candidates at margin 0.5.
+
+    Each copy lives in its own plane: slot 0 has selfie = doc at angle 0;
+    slot 1 has its doc at 60 and its selfie at 120 degrees. Selfie anchors:
+    D(s0, d1) = 1 >= 0 + 0.5 and D(s1, d0) = 3 >= 1 + 0.5, so none.
+    Doc anchor d1: D(s0, d1) = 1 < 1 + 0.5, so one candidate. Slots in other
+    planes are at distance 2, beyond every limit.
+    """
+    def at(deg):
+        return np.array([np.cos(np.radians(deg)), np.sin(np.radians(deg))])
+    dim = 2 * copies
+    selfies, docs = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for k in range(copies):
+        plane = slice(2 * k, 2 * k + 2)
+        selfies[2 * k, plane], docs[2 * k, plane] = at(0), at(0)
+        selfies[2 * k + 1, plane], docs[2 * k + 1, plane] = at(120), at(60)
+    return selfies, docs
+
+
+def assert_same_triplets(got, want):
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert g.tolist() == w.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -113,15 +175,7 @@ class TestMineSemiHard:
         # Three identities in 2-D with hand-checkable geometry.
         selfies = normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
         docs = normalize_rows(np.array([[1.0, 0.2], [0.2, 1.0], [-1.0, 0.2]]))
-        batch = MiningBatch(
-            pair_indices=np.arange(3),
-            identity_ids=np.arange(3, dtype=np.int64),
-            groups=np.array(["g"] * 3),
-            selfie_features=selfies,
-            doc_features=docs,
-            selfie_emb=selfies,
-            doc_emb=docs,
-        )
+        batch = fixed_batch(selfies, docs)
         margin = 0.6
         got = semi_hard_candidates(batch, margin)
         want = brute_force_candidates(batch, margin)
@@ -141,18 +195,11 @@ class TestMineSemiHard:
         # Antipodal identity clusters: every impostor is at distance >= the
         # genuine distance + margin.
         e = np.eye(4)
-        selfies = np.vstack([e[0], -e[0]])
-        docs = np.vstack([e[0], -e[0]])
-        batch = MiningBatch(
-            pair_indices=np.arange(2),
-            identity_ids=np.arange(2, dtype=np.int64),
-            groups=np.array(["g", "g"]),
-            selfie_features=selfies,
-            doc_features=docs,
-            selfie_emb=selfies,
-            doc_emb=docs,
-        )
-        assert mine_semi_hard(batch, 0.6, np.random.default_rng(0)) == []
+        points = np.vstack([e[0], -e[0]])
+        batch = fixed_batch(points, points)
+        got = mine_semi_hard(batch, 0.6, np.random.default_rng(0))
+        assert_same_triplets(got, reference_mine(batch, 0.6, np.random.default_rng(0)))
+        assert all(arr.size == 0 for arr in got)
 
     def test_constraints_hold_over_many_triplets(self):
         rng = np.random.default_rng(7)
@@ -162,46 +209,48 @@ class TestMineSemiHard:
             trips = mine_semi_hard(batch, 0.6, rng)
             n = batch.n
             ids = batch.identity_ids
-            for t in trips:
-                if t.anchor_domain == "selfie":
-                    assert t.anchor_index < n <= t.positive_index
-                    assert t.negative_index >= n
-                    a, p, neg = t.anchor_index, t.positive_index - n, t.negative_index - n
+            for anchor, positive, negative in zip(*trips):
+                if anchor < n:  # selfie anchor
+                    assert anchor < n <= positive
+                    assert negative >= n
+                    a, p, neg = anchor, positive - n, negative - n
                 else:
-                    assert t.anchor_index >= n > t.positive_index
-                    assert t.negative_index < n
-                    a, p, neg = t.anchor_index - n, t.positive_index, t.negative_index
+                    assert anchor >= n > positive
+                    assert negative < n
+                    a, p, neg = anchor - n, positive, negative
                 assert a == p
                 assert ids[a] == ids[p]
                 assert ids[neg] != ids[a]
-            total += len(trips)
+            total += len(trips[0])
 
     def test_output_bounded_by_2n(self):
         rng = np.random.default_rng(8)
         for seed in range(5):
             batch = random_batch(np.random.default_rng(seed), 64)
             trips = mine_semi_hard(batch, 0.6, rng)
-            assert len(trips) <= 2 * batch.n
+            assert all(len(t) == len(trips[0]) for t in trips)
+            assert len(trips[0]) <= 2 * batch.n
             cands = semi_hard_candidates(batch, 0.6)
             if all(len(v) > 0 for v in cands.values()):
-                assert len(trips) == 2 * batch.n
+                assert len(trips[0]) == 2 * batch.n
 
     def test_same_seed_same_triplets(self):
         batch = random_batch(np.random.default_rng(9), 64)
         t1 = mine_semi_hard(batch, 0.6, np.random.default_rng(42))
         t2 = mine_semi_hard(batch, 0.6, np.random.default_rng(42))
-        assert t1 == t2
+        assert_same_triplets(t1, t2)
 
     def test_negative_always_in_candidate_set(self):
         rng = np.random.default_rng(10)
         batch = random_batch(rng, 64, duplicate_ids=True)
         cands = semi_hard_candidates(batch, 0.6)
-        for t in mine_semi_hard(batch, 0.6, rng):
+        anchors, _, negatives = mine_semi_hard(batch, 0.6, rng)
+        for anchor, negative in zip(anchors, negatives):
             n = batch.n
-            if t.anchor_domain == "selfie":
-                key, neg = (t.anchor_index, "selfie"), t.negative_index - n
+            if anchor < n:
+                key, neg = (anchor, "selfie"), negative - n
             else:
-                key, neg = (t.anchor_index - n, "doc"), t.negative_index
+                key, neg = (anchor - n, "doc"), negative
             assert neg in cands[key].tolist()
 
     def test_requires_embeddings(self):
@@ -225,29 +274,87 @@ class TestMineSemiHard:
         assert np.array_equal(embedded.selfie_emb, net.forward(batch.selfie_features))
 
 
+class TestBlockedMiner:
+    @pytest.mark.parametrize("n", [16, 101, 200, 257, 328, 2048])
+    def test_picks_match_reference(self, n):
+        batch = random_batch(np.random.default_rng(n), n)
+        got = mine_semi_hard(batch, 0.6, np.random.default_rng(n + 1))
+        want = reference_mine(batch, 0.6, np.random.default_rng(n + 1))
+        assert_same_triplets(got, want)
+
+    @pytest.mark.parametrize("n", [101, 257])
+    def test_picks_match_reference_duplicate_ids(self, n):
+        batch = random_batch(np.random.default_rng(n), n, duplicate_ids=True)
+        assert len(set(batch.identity_ids.tolist())) < n
+        got = mine_semi_hard(batch, 0.6, np.random.default_rng(3))
+        want = reference_mine(batch, 0.6, np.random.default_rng(3))
+        assert_same_triplets(got, want)
+
+    def test_same_draws_as_reference(self):
+        # The miner consumes exactly one uniform per nonempty anchor row.
+        batch = random_batch(np.random.default_rng(5), 300, duplicate_ids=True)
+        rng_got, rng_want = np.random.default_rng(6), np.random.default_rng(6)
+        mine_semi_hard(batch, 0.6, rng_got)
+        reference_mine(batch, 0.6, rng_want)
+        assert rng_got.random() == rng_want.random()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_one_orientation_without_candidates(self, swap):
+        copies = 150  # 300 slots, three blocks
+        selfies, docs = one_sided_batch(copies)
+        if swap:  # swapping the views swaps the orientations
+            selfies, docs = docs, selfies
+        batch = fixed_batch(selfies, docs)
+        got = mine_semi_hard(batch, 0.5, np.random.default_rng(7))
+        want = reference_mine(batch, 0.5, np.random.default_rng(7))
+        assert_same_triplets(got, want)
+        anchors, _, _ = got
+        n = batch.n
+        assert len(anchors) == copies
+        selfie_anchored = int(np.sum(anchors < n))
+        assert selfie_anchored == (copies if swap else 0)
+
+    def test_memory_stays_below_a_quarter_of_a_float_matrix(self):
+        n = 4096
+        batch = random_batch(np.random.default_rng(8), n, dim=16)
+        tracemalloc.start()
+        try:
+            mine_semi_hard(batch, 0.6, np.random.default_rng(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+
 class TestScheduleMinibatches:
     def _trips(self, k):
-        return [Triplet(i, i + k, 2 * k, "selfie") for i in range(k)]
+        a = np.arange(k, dtype=np.int64)
+        return a, a + k, np.full(k, 2 * k, dtype=np.int64)
 
     def test_exact_split(self):
         mbs = schedule_minibatches(self._trips(64), 32, np.random.default_rng(0))
-        assert [len(m) for m in mbs] == [32, 32]
+        assert [len(m[0]) for m in mbs] == [32, 32]
 
     def test_short_tail(self):
         mbs = schedule_minibatches(self._trips(33), 32, np.random.default_rng(0))
-        assert [len(m) for m in mbs] == [32, 1]
+        assert [len(m[0]) for m in mbs] == [32, 1]
 
     def test_every_triplet_exactly_once(self):
         trips = self._trips(100)
         mbs = schedule_minibatches(trips, 8, np.random.default_rng(1))
-        flat = [t for mb in mbs for t in mb]
-        assert sorted(t.anchor_index for t in flat) == list(range(100))
+        flat = np.concatenate([mb[0] for mb in mbs])
+        assert sorted(flat.tolist()) == list(range(100))
+        for a, p, n in mbs:  # the three arrays stay aligned
+            assert np.array_equal(p, a + 100) and np.all(n == 200)
 
     def test_same_seed_same_order(self):
         trips = self._trips(50)
         a = schedule_minibatches(trips, 16, np.random.default_rng(2))
         b = schedule_minibatches(trips, 16, np.random.default_rng(2))
-        assert a == b
+        assert len(a) == len(b)
+        for mb_a, mb_b in zip(a, b):
+            assert_same_triplets(mb_a, mb_b)
 
     def test_empty_input(self):
-        assert schedule_minibatches([], 32, np.random.default_rng(0)) == []
+        empty = tuple(np.array([], dtype=np.int64) for _ in range(3))
+        assert schedule_minibatches(empty, 32, np.random.default_rng(0)) == []

@@ -253,7 +253,7 @@ class TestTrainingLossDecreases:
         for _ in range(steps):
             embedded = batch.embed_with(net)
             trips = mine_semi_hard(embedded, 0.6, rng)
-            if not trips:
+            if len(trips[0]) == 0:
                 losses.append(0.0)
                 continue
             feats = embedded.flat_features()
