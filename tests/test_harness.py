@@ -11,7 +11,7 @@ from fairtriplet.config import (
     config_from_dict,
     load_config,
 )
-from fairtriplet.core import ConfigError
+from fairtriplet.core import CONTINENTS, ConfigError
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 from fairtriplet.dataio import read_embeddings_csv, save_dataset
 from fairtriplet.harness import (
@@ -40,6 +40,54 @@ def tiny_config(tmp_path, name="run", variant="natural", seed=5, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (config_hash, model_hash) of each preset; a change here invalidates every
+# run directory and checkpoint made with that preset.
+PRESET_HASHES = {
+    "adjusted.yaml": ("d36ea035eb79cdf3", "9828ef65d736b34c"),
+    "country_adjusted.yaml": ("5d77bb5f19aa7e84", "9828ef65d736b34c"),
+    "dynamic.yaml": ("3bf9508f75b2f5e0", "9828ef65d736b34c"),
+    "equal.yaml": ("203fa54210eb4bfe", "9828ef65d736b34c"),
+    "homogeneous.yaml": ("9bed445d455e31bf", "9828ef65d736b34c"),
+    "natural.yaml": ("1bd5c87d774dd632", "9828ef65d736b34c"),
+}
+
+# Every key a config file can set, each off its default; some numbers are
+# written as ints or YAML 1.1 strings to pin their coercion too.
+EVERY_KEY = {
+    "seed": 3,
+    "output_dir": "runs/every-key",
+    "data": {
+        "path": "configs/natural.yaml",
+        "seed": 4,
+        "geometry_seed": 5,
+        "input_dim": 12,
+        "n_pairs": 3000,
+        "composition": {"EU": 0.5, "AM": 0.2, "AF": 0.1, "AS": 0.1, "OC": 0.05, "UN": 0.05},
+        "country_weights": {"usa": 2.0, "nigeria": 3},
+        "gender_split": {c: {"male": 0.5, "female": 0.25, "unknown": 0.25} for c in CONTINENTS},
+        "identity_spread": 0.35,
+        "gender_spread": {"male": 1.1, "female": 0.9, "unknown": 1},
+        "gender_offset": 0.2,
+        "selfie_noise": 0.15,
+        "doc_noise": {c: 0.25 for c in CONTINENTS},
+        "domain_shift_strength": 0.4,
+        "duplicate_rate": 0.03,
+        "geometry": {"separation": 2.0, "near_radius": 1.1, "far_radius": 1.6,
+                     "unknown_radius": 1.3, "country_spread": 0.1},
+    },
+    "training": {"margin": 0.5, "batch_n": 512, "minibatch_size": 16, "total_steps": 30,
+                 "lr_init": "2e-3", "lr_final": 2e-5, "hidden_dims": [24, 16],
+                 "embed_dim": 12, "activation": "relu", "seed": 9},
+    "sampler": {"variant": "fixed", "axis": "country", "weights": {"usa": 2, "nigeria": 4.0},
+                "lam": 0.5, "alpha_smooth": 0.3},
+    "eval": {"target_far": 2e-3, "n_eval_pairs": 1500, "group_pool_size": 200,
+             "matrix_axis": "country", "roc_points": 30, "n_roc_splits": 3,
+             "split_fraction": 0.6, "validation_every": 15, "far_floor": 1e-4},
+}
 
 
 def read_all_outputs(run_dir):
@@ -104,6 +152,16 @@ eval:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.yaml")
+
+    @pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+    def test_preset_hashes_pinned(self, name):
+        cfg = load_config(REPO / "configs" / name)
+        assert (cfg.config_hash(), cfg.model_hash()) == PRESET_HASHES[name]
+
+    def test_every_settable_key_hashes_pinned(self, monkeypatch):
+        monkeypatch.chdir(REPO)  # data.path is relative and must exist
+        cfg = config_from_dict(EVERY_KEY)
+        assert (cfg.config_hash(), cfg.model_hash()) == ("42776272b915f7ff", "c0c3af31fae3f676")
 
 
 class TestTrainingRuns:
