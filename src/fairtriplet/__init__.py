@@ -7,11 +7,9 @@ from .core import (
     GENDERS,
     ConfigError,
     Dataset,
-    DemographicLabel,
     DEFAULT_TAXONOMY,
     GroupTaxonomy,
     ResolutionError,
-    SamplePair,
     continent_of,
     normalize,
     squared_distance,
@@ -29,7 +27,6 @@ __all__ = [
     "GENDERS",
     "ConfigError",
     "Dataset",
-    "DemographicLabel",
     "DEFAULT_TAXONOMY",
     "DynamicState",
     "EmbeddingNetwork",
@@ -41,7 +38,6 @@ __all__ = [
     "OptimizerState",
     "ResolutionError",
     "RunRecord",
-    "SamplePair",
     "SamplerConfig",
     "SamplerSpec",
     "TrainingConfig",

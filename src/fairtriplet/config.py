@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .core import ConfigError, DEFAULT_TAXONOMY
-from .datagen import GeneratorConfig, GroupGeometry
+from .datagen import GeneratorConfig
 from .model import TrainingConfig
 from .sampling import (
     DynamicState,
@@ -121,15 +123,7 @@ class ExperimentConfig:
             "data_path": self.data_path,
             "data": _plain(asdict(self.data)),
             "training": _plain(asdict(self.training)),
-            "sampler": {
-                "variant": self.sampler.variant,
-                "axis": self.sampler.axis,
-                "weights": self.sampler.weights
-                if isinstance(self.sampler.weights, str)
-                else (_plain(dict(self.sampler.weights)) if self.sampler.weights else None),
-                "lam": self.sampler.lam,
-                "alpha_smooth": self.sampler.alpha_smooth,
-            },
+            "sampler": _plain(asdict(self.sampler)),
             "eval": _plain(asdict(self.eval)),
         }
         d["data"].pop("taxonomy", None)
@@ -161,131 +155,85 @@ def _plain(obj):
     raise ConfigError(f"cannot serialize config value of type {type(obj)!r}")
 
 
-def _num(x, kind=float):
-    """YAML 1.1 parses '1e-3' as a string; coerce numerics defensively."""
-    try:
-        return kind(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {x!r}") from None
+# Fields a config file does not set by their own name: the dataset file is
+# written as data.path, and the group taxonomy is fixed.
+_NOT_SETTABLE = {"data_path", "taxonomy"}
+
+_NOUNS = {int: "an integer", float: "a number", str: "a string", tuple: "a list",
+          Mapping: "a mapping", type(None): "null"}
 
 
-def _section(d: Mapping[str, Any], name: str) -> dict[str, Any]:
-    sec = d.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, Mapping):
+def _expected(hint) -> str:
+    if get_origin(hint) in (Union, UnionType):
+        return " or ".join(_expected(arm) for arm in get_args(hint))
+    return _NOUNS.get(get_origin(hint) or hint, "a mapping")
+
+
+def _section(raw: Any, name: str) -> Mapping[str, Any]:
+    if raw is None:
+        return {}
+    if not isinstance(raw, Mapping):
         raise ConfigError(f"section {name!r} must be a mapping")
-    return dict(sec)
+    return raw
 
 
-_GEN_FLOATS = (
-    "identity_spread", "gender_offset", "selfie_noise",
-    "domain_shift_strength", "duplicate_rate",
-)
+def _coerce(hint, value: Any, where: str) -> Any:
+    """``value`` read from a config file as a ``hint``; ConfigError otherwise.
+
+    Ints must be integral; numbers may be strings such as '1e-3', which
+    YAML 1.1 does not read as floats.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        return _from_section(hint, value, where)
+    if origin in (Union, UnionType):
+        for arm in args:
+            try:
+                return _coerce(arm, value, where)
+            except ConfigError:
+                pass
+    elif hint is type(None) or hint is str:
+        if isinstance(value, hint):
+            return value
+    elif hint in (int, float):
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if hint is float:
+                return float(value)
+            if float(value).is_integer():
+                return int(value)
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif origin is Mapping:
+        if isinstance(value, Mapping):
+            return {_coerce(args[0], k, where): _coerce(args[1], v, f"{where}.{k}")
+                    for k, v in value.items()}
+    raise ConfigError(f"{where}: expected {_expected(hint)}, got {value!r}")
+
+
+def _from_section(cls, raw: Any, where: str):
+    """Build the config dataclass ``cls`` from its section, field by field."""
+    label = where or "config"
+    sec = _section(raw, label)
+    unknown = set(sec) - ({f.name for f in fields(cls)} - _NOT_SETTABLE)
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown, key=str)}")
+    hints = get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    return cls(**{k: _coerce(hints[k], v, prefix + k) for k, v in sec.items()})
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
-    known = {"seed", "output_dir", "data", "training", "sampler", "eval"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    data_sec = _section(raw, "data")
-    data_path = data_sec.pop("path", None)
-    geo_sec = data_sec.pop("geometry", None)
-    gen_kwargs: dict[str, Any] = {}
-    for key in ("seed", "input_dim", "n_pairs"):
-        if key in data_sec:
-            gen_kwargs[key] = _num(data_sec.pop(key), int)
-    if "geometry_seed" in data_sec:
-        val = data_sec.pop("geometry_seed")
-        gen_kwargs["geometry_seed"] = None if val is None else _num(val, int)
-    for key in _GEN_FLOATS:
-        if key in data_sec:
-            gen_kwargs[key] = _num(data_sec.pop(key))
-    for key in ("composition", "country_weights", "doc_noise", "gender_spread"):
-        if key in data_sec:
-            val = data_sec.pop(key)
-            gen_kwargs[key] = (
-                {str(k): _num(v) for k, v in val.items()} if val is not None else None
-            )
-    if "gender_split" in data_sec:
-        gen_kwargs["gender_split"] = {
-            str(c): {str(g): _num(p) for g, p in row.items()}
-            for c, row in data_sec.pop("gender_split").items()
-        }
-    if data_sec:
-        raise ConfigError(f"unknown data keys: {sorted(data_sec)}")
-    if geo_sec:
-        gen_kwargs["geometry"] = GroupGeometry(
-            **{str(k): _num(v) for k, v in geo_sec.items()}
-        )
-    data = GeneratorConfig(**gen_kwargs)
-
-    tr_sec = _section(raw, "training")
-    tr_kwargs: dict[str, Any] = {}
-    for key in ("batch_n", "minibatch_size", "total_steps", "embed_dim", "seed"):
-        if key in tr_sec:
-            tr_kwargs[key] = _num(tr_sec.pop(key), int)
-    for key in ("margin", "lr_init", "lr_final"):
-        if key in tr_sec:
-            tr_kwargs[key] = _num(tr_sec.pop(key))
-    if "hidden_dims" in tr_sec:
-        tr_kwargs["hidden_dims"] = tuple(int(x) for x in tr_sec.pop("hidden_dims"))
-    if "activation" in tr_sec:
-        tr_kwargs["activation"] = str(tr_sec.pop("activation"))
-    if tr_sec:
-        raise ConfigError(f"unknown training keys: {sorted(tr_sec)}")
-    training = TrainingConfig(**tr_kwargs)
-
-    sm_sec = _section(raw, "sampler")
-    sm_kwargs: dict[str, Any] = {}
-    if "variant" in sm_sec:
-        sm_kwargs["variant"] = str(sm_sec.pop("variant"))
-    if "axis" in sm_sec:
-        sm_kwargs["axis"] = str(sm_sec.pop("axis"))
-    if "weights" in sm_sec:
-        w = sm_sec.pop("weights")
-        sm_kwargs["weights"] = (
-            w if isinstance(w, str) or w is None
-            else {str(k): _num(v) for k, v in w.items()}
-        )
-    for key in ("lam", "alpha_smooth"):
-        if key in sm_sec:
-            sm_kwargs[key] = _num(sm_sec.pop(key))
-    if sm_sec:
-        raise ConfigError(f"unknown sampler keys: {sorted(sm_sec)}")
-    sampler = SamplerConfig(**sm_kwargs)
-
-    ev_sec = _section(raw, "eval")
-    ev_kwargs: dict[str, Any] = {}
-    for key in ("n_eval_pairs", "group_pool_size", "roc_points", "n_roc_splits",
-                "validation_every"):
-        if key in ev_sec:
-            ev_kwargs[key] = _num(ev_sec.pop(key), int)
-    for key in ("target_far", "split_fraction", "far_floor"):
-        if key in ev_sec:
-            val = ev_sec.pop(key)
-            ev_kwargs[key] = None if val is None else _num(val)
-    if "matrix_axis" in ev_sec:
-        ev_kwargs["matrix_axis"] = str(ev_sec.pop("matrix_axis"))
-    if ev_sec:
-        raise ConfigError(f"unknown eval keys: {sorted(ev_sec)}")
-    eval_cfg = EvalConfig(**ev_kwargs)
-
-    cfg = ExperimentConfig(
-        seed=_num(raw.get("seed", 0), int),
-        output_dir=str(raw.get("output_dir", "runs/experiment")),
-        data=data,
-        data_path=str(data_path) if data_path is not None else None,
-        training=training,
-        sampler=sampler,
-        eval=eval_cfg,
-    )
+    data = dict(_section(raw.get("data"), "data"))
+    data_path = _coerce(str | None, data.pop("path", None), "data.path")
+    cfg = _from_section(ExperimentConfig, {**raw, "data": data}, "").with_(data_path=data_path)
     try:
         cfg.validate()
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return cfg

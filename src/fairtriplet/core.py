@@ -1,5 +1,5 @@
-"""Core domain types: group taxonomy, demographic labels, datasets, and the
-unit-sphere distance primitives shared by every other module.
+"""Core domain types: group taxonomy, datasets, and the unit-sphere distance
+primitives shared by every other module.
 
 Embeddings are plain float64 numpy arrays with unit L2 norm (unit rows for
 batches); ``normalize`` / ``normalize_rows`` are the constructors that
@@ -131,38 +131,6 @@ def continent_of(country: str) -> str:
     return DEFAULT_TAXONOMY.continent_of(country)
 
 
-@dataclass(frozen=True)
-class DemographicLabel:
-    country: str
-    continent: str
-    gender: str
-
-    def __post_init__(self) -> None:
-        expected = DEFAULT_TAXONOMY.continent_of(self.country)
-        if self.continent != expected:
-            raise ValueError(
-                f"continent {self.continent!r} inconsistent with country "
-                f"{self.country!r} (expected {expected!r})"
-            )
-        if self.gender not in GENDERS:
-            raise ValueError(f"unknown gender: {self.gender!r}")
-
-    @classmethod
-    def for_country(cls, country: str, gender: str) -> "DemographicLabel":
-        return cls(country, continent_of(country), gender)
-
-
-@dataclass(frozen=True)
-class SamplePair:
-    """One identity's two cross-domain views: raw input features, not
-    embeddings."""
-
-    identity_id: int
-    selfie_features: np.ndarray
-    doc_features: np.ndarray
-    label: DemographicLabel
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     """Project a vector onto the unit sphere. Raises on zero (or NaN) norm."""
     v = np.asarray(v, dtype=np.float64)
@@ -248,7 +216,6 @@ class Dataset:
     """Columnar store of sample pairs.
 
     Arrays are aligned by pair index and made read-only at construction;
-    ``pair(i)`` materializes a single :class:`SamplePair` view and
     ``group_index`` gives the index partition for a grouping axis.
     """
 
@@ -312,14 +279,6 @@ class Dataset:
             g: np.flatnonzero(tags == g)
             for g in self.taxonomy.groups(axis)
         }
-
-    def pair(self, i: int) -> SamplePair:
-        return SamplePair(
-            identity_id=int(self.identity_ids[i]),
-            selfie_features=self.selfie_features[i],
-            doc_features=self.doc_features[i],
-            label=DemographicLabel.for_country(str(self.countries[i]), str(self.genders[i])),
-        )
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(

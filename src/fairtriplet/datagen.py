@@ -28,10 +28,8 @@ from .core import (
     GENDERS,
     ConfigError,
     Dataset,
-    DemographicLabel,
     DEFAULT_TAXONOMY,
     GroupTaxonomy,
-    SamplePair,
 )
 
 # Continent shares of the default training composition (fractions of all
@@ -158,12 +156,6 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
-class LatentIdentity:
-    vector: np.ndarray
-    label: DemographicLabel
-
-
-@dataclass(frozen=True)
 class GeometryRealization:
     """Deterministic latent layout drawn from the generator seed."""
 
@@ -221,12 +213,6 @@ def realize_geometry(config: GeneratorConfig) -> GeometryRealization:
     return GeometryRealization(continent_centers, country_centers, gender_directions, shift)
 
 
-def build_group_geometry(config: GeneratorConfig) -> dict[str, np.ndarray]:
-    """Latent center per group (continents and countries; codes are disjoint)."""
-    real = realize_geometry(config)
-    return {**real.continent_centers, **real.country_centers}
-
-
 def country_probabilities(config: GeneratorConfig) -> np.ndarray:
     """Per-country draw probabilities implied by composition + country weights,
     aligned with taxonomy country order."""
@@ -251,42 +237,6 @@ def country_probabilities(config: GeneratorConfig) -> np.ndarray:
         for c, share in config.composition.items():
             probs[tax.countries.index(c)] = share
     return probs
-
-
-def sample_identity(config: GeneratorConfig, country: str, gender: str,
-                    rng: np.random.Generator,
-                    realization: GeometryRealization | None = None) -> LatentIdentity:
-    """Draw one latent identity for a given country and gender label.
-
-    An "unknown" gender is a missing label, not a phenotype: such identities
-    draw a hidden male/female gender (50/50) that drives the latent offset and
-    spread, while the label stays "unknown".
-    """
-    real = realization or realize_geometry(config)
-    hidden = gender
-    if gender == "unknown":
-        hidden = "male" if rng.random() < 0.5 else "female"
-    spread = config.identity_spread * config.gender_spread[hidden]
-    v = (
-        real.country_centers[country]
-        + config.gender_offset * real.gender_directions[hidden]
-        + spread * rng.standard_normal(config.input_dim)
-    )
-    return LatentIdentity(vector=v, label=DemographicLabel.for_country(country, gender))
-
-
-def render_pair(identity: LatentIdentity, config: GeneratorConfig,
-                rng: np.random.Generator,
-                realization: GeometryRealization | None = None,
-                identity_id: int = 0) -> SamplePair:
-    """Render one selfie/doc view pair of a latent identity."""
-    if identity.vector.shape != (config.input_dim,):
-        raise ValueError("identity dimension does not match config.input_dim")
-    real = realization or realize_geometry(config)
-    selfie = identity.vector + config.selfie_noise * rng.standard_normal(config.input_dim)
-    doc_sigma = config.doc_noise[identity.label.continent]
-    doc = real.shift_matrix @ identity.vector + doc_sigma * rng.standard_normal(config.input_dim)
-    return SamplePair(identity_id, selfie, doc, identity.label)
 
 
 def generate_dataset(config: GeneratorConfig) -> Dataset:

@@ -64,15 +64,6 @@ class EvalSet:
             genders=dataset.genders,
         )
 
-    def labels(self, axis: str) -> np.ndarray:
-        if axis == "country":
-            return self.countries
-        if axis == "continent":
-            return self.continents
-        if axis == "gender":
-            return self.genders
-        raise ValueError(f"unknown grouping axis: {axis!r}")
-
     def subset(self, idx: np.ndarray) -> "EvalSet":
         return EvalSet(
             self.selfie_emb[idx], self.doc_emb[idx], self.identity_ids[idx],
@@ -119,13 +110,11 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     return accepted, comparisons
 
 
-def far(eval_set: EvalSet, theta: float, doc_set: EvalSet | None = None) -> float:
-    """FAR of selfies from ``eval_set`` against docs from ``doc_set`` (or the
-    same set, which is the usual single-pool protocol)."""
-    docs = doc_set if doc_set is not None else eval_set
+def far(eval_set: EvalSet, theta: float) -> float:
+    """FAR of the set's selfies against its own docs (single-pool protocol)."""
     accepted, comparisons = far_counts(
         eval_set.selfie_emb, eval_set.identity_ids,
-        docs.doc_emb, docs.identity_ids, theta,
+        eval_set.doc_emb, eval_set.identity_ids, theta,
     )
     return accepted / comparisons
 
@@ -144,8 +133,7 @@ def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     return out
 
 
-def calibrate_threshold(eval_set: EvalSet, target_far: float,
-                        doc_set: EvalSet | None = None) -> float:
+def calibrate_threshold(eval_set: EvalSet, target_far: float) -> float:
     """Largest threshold on the impostor-distance grid with FAR <= target.
 
     The grid is the sorted impostor distances themselves, extended by a value
@@ -155,10 +143,9 @@ def calibrate_threshold(eval_set: EvalSet, target_far: float,
     target. Requires n * target_far >= 1, otherwise the target is below the
     measurement's resolution.
     """
-    docs = doc_set if doc_set is not None else eval_set
     dists = impostor_distances(
         eval_set.selfie_emb, eval_set.identity_ids,
-        docs.doc_emb, docs.identity_ids,
+        eval_set.doc_emb, eval_set.identity_ids,
     )
     return calibrate_threshold_from_distances(dists, target_far)
 
@@ -198,27 +185,6 @@ class FarMatrix:
         return float(self.values[self.groups.index(g), self.groups.index(h)])
 
 
-def build_group_pools(eval_set: EvalSet, axis: str, pool_size: int | None = None,
-                      groups: tuple[str, ...] | None = None) -> dict[str, EvalSet]:
-    """Per-group evaluation pools of a fixed size (first pool_size pairs of
-    each group, deterministically). pool_size None keeps whole groups."""
-    tags = eval_set.labels(axis)
-    present = [g for g in (groups or tuple(dict.fromkeys(tags.tolist()))) ]
-    pools = {}
-    for g in present:
-        idx = np.flatnonzero(tags == g)
-        if pool_size is not None:
-            if len(idx) < pool_size:
-                raise ResolutionError(
-                    f"group {g!r} has {len(idx)} pairs, pool needs {pool_size}"
-                )
-            idx = idx[:pool_size]
-        if len(idx) == 0:
-            raise ResolutionError(f"group {g!r} has no pairs")
-        pools[g] = eval_set.subset(idx)
-    return pools
-
-
 def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continent") -> FarMatrix:
     groups = tuple(pools)
     k = len(groups)
@@ -244,14 +210,6 @@ def per_group_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float
 
 def per_group_frr(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:
     return {g: frr(pool, theta) for g, pool in pools.items()}
-
-
-def gender_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:
-    """Within-gender FAR at the overall-calibrated threshold."""
-    for g, pool in pools.items():
-        if len(pool) == 0:
-            raise ValueError(f"gender pool {g!r} is empty")
-    return {g: far(pool, theta) for g, pool in pools.items()}
 
 
 def gender_pools(eval_set: EvalSet) -> dict[str, EvalSet]:
@@ -293,8 +251,7 @@ def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
     return np.unique(grid)
 
 
-def roc_curve(eval_set: EvalSet, thetas: np.ndarray,
-              doc_set: EvalSet | None = None) -> RocCurve:
+def roc_curve(eval_set: EvalSet, thetas: np.ndarray) -> RocCurve:
     """FAR/FRR at every grid threshold, via sorted-distance counting.
 
     Counting is searchsorted on the same distance arrays far()/frr() use, so
@@ -303,10 +260,9 @@ def roc_curve(eval_set: EvalSet, thetas: np.ndarray,
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    docs = doc_set if doc_set is not None else eval_set
     imp = impostor_distances(
         eval_set.selfie_emb, eval_set.identity_ids,
-        docs.doc_emb, docs.identity_ids,
+        eval_set.doc_emb, eval_set.identity_ids,
     )
     gen = np.sort(genuine_distances(eval_set))
     fars = np.searchsorted(imp, thetas, side="left") / len(imp)

@@ -33,7 +33,6 @@ from .evaluation import (
     far_counts,
     far_matrix,
     frr_counts,
-    gender_far,
     gender_pools,
     per_group_far,
     per_group_frr,
@@ -368,7 +367,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     matrix = far_matrix(pools, theta, axis=cfg.eval.matrix_axis)
     g_far = per_group_far(pools, theta)
     g_frr = per_group_frr(pools, theta)
-    genders = gender_far(gender_pools(es), theta)
+    genders = per_group_far(gender_pools(es), theta)
 
     grid = default_theta_grid(es, cfg.eval.roc_points)
     if cfg.eval.n_roc_splits > 1:

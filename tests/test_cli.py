@@ -79,6 +79,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_value_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("data:\n  geometry: {bogus: 1}\n")
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
 def test_resolution_error_exit_code(config_path, tmp_path, capsys):
     # target FAR far below what n_eval_pairs can resolve
     text = config_path.read_text().replace("target_far: 1.0e-2", "target_far: 1.0e-9")

@@ -7,25 +7,28 @@ from fairtriplet.datagen import (
     DEFAULT_CONTINENT_SHARES,
     GeneratorConfig,
     GroupGeometry,
-    build_group_geometry,
     country_probabilities,
     generate_dataset,
     realize_geometry,
-    render_pair,
-    sample_identity,
 )
+
+
+def centers(cfg):
+    """Latent center per group (continents and countries; codes are disjoint)."""
+    real = realize_geometry(cfg)
+    return {**real.continent_centers, **real.country_centers}
 
 
 class TestGeometry:
     def test_deterministic(self):
         cfg = GeneratorConfig(seed=5, input_dim=16)
-        g1 = build_group_geometry(cfg)
-        g2 = build_group_geometry(cfg)
+        g1 = centers(cfg)
+        g2 = centers(cfg)
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
 
     def test_near_groups_closer_than_far_groups(self):
-        g = build_group_geometry(GeneratorConfig(seed=2))
+        g = centers(GeneratorConfig(seed=2))
         near = ("EU", "AM", "OC")
         near_dists = [
             np.linalg.norm(g[a] - g[b]) for a in near for b in near if a < b
@@ -37,7 +40,7 @@ class TestGeometry:
 
     def test_degenerate_separation_collapses_centers(self):
         cfg = GeneratorConfig(seed=2, geometry=GroupGeometry(separation=0.0))
-        g = build_group_geometry(cfg)
+        g = centers(cfg)
         for v in g.values():
             assert np.array_equal(v, np.zeros(cfg.input_dim))
 
@@ -47,42 +50,40 @@ class TestGeometry:
 
 
 class TestRenderPair:
+    """The selfie and doc views generate_dataset renders of each identity."""
+
     def test_noiseless_views_equal_latent(self):
         cfg = GeneratorConfig(
-            seed=1, input_dim=8, selfie_noise=1e-300, doc_noise={c: 1e-300 for c in CONTINENTS},
-            domain_shift_strength=0.0,
+            seed=1, n_pairs=200, input_dim=8, selfie_noise=1e-300,
+            doc_noise={c: 1e-300 for c in CONTINENTS}, domain_shift_strength=0.0,
         )
-        real = realize_geometry(cfg)
-        ident = sample_identity(cfg, "poland", "male", np.random.default_rng(3), real)
-        pair = render_pair(ident, cfg, np.random.default_rng(4), real)
-        assert np.allclose(pair.selfie_features, ident.vector, atol=1e-12)
-        assert np.allclose(pair.doc_features, ident.vector, atol=1e-12)
+        ds = generate_dataset(cfg)
+        assert np.allclose(ds.selfie_features, ds.doc_features, rtol=0.0, atol=1e-12)
 
     def test_same_rng_state_same_pair(self):
-        cfg = GeneratorConfig(seed=1, input_dim=8)
-        real = realize_geometry(cfg)
-        ident = sample_identity(cfg, "india", "female", np.random.default_rng(0), real)
-        p1 = render_pair(ident, cfg, np.random.default_rng(9), real)
-        p2 = render_pair(ident, cfg, np.random.default_rng(9), real)
-        assert np.array_equal(p1.selfie_features, p2.selfie_features)
-        assert np.array_equal(p1.doc_features, p2.doc_features)
+        # The sampling stream depends on seed alone: a different latent
+        # geometry re-renders the same identities with the same labels.
+        a = generate_dataset(GeneratorConfig(seed=1, n_pairs=300, input_dim=8))
+        b = generate_dataset(GeneratorConfig(seed=1, n_pairs=300, input_dim=8,
+                                             geometry_seed=2))
+        assert np.array_equal(a.identity_ids, b.identity_ids)
+        assert np.array_equal(a.countries, b.countries)
+        assert np.array_equal(a.genders, b.genders)
+        assert not np.array_equal(a.selfie_features, b.selfie_features)
 
     def test_selfie_noise_expectation(self):
-        # Monte Carlo against the closed form: two independent renders of the
-        # same identity differ by 2 * d * sigma^2 in expected squared distance.
-        cfg = GeneratorConfig(seed=1, input_dim=16, selfie_noise=0.2)
-        real = realize_geometry(cfg)
-        ident = sample_identity(cfg, "brazil", "male", np.random.default_rng(1), real)
-        rng = np.random.default_rng(2)
-        n = 10_000
-        total = 0.0
-        for _ in range(n):
-            a = render_pair(ident, cfg, rng, real)
-            b = render_pair(ident, cfg, rng, real)
-            diff = a.selfie_features - b.selfie_features
-            total += float(diff @ diff)
-        expected = 2 * cfg.input_dim * cfg.selfie_noise**2
-        assert abs(total / n - expected) / expected < 0.05
+        # Monte Carlo against the closed form: with no domain shift the two
+        # views of one identity differ by independent selfie and doc noise,
+        # so E||selfie - doc||^2 = d * (sigma_s^2 + sigma_d^2).
+        cfg = GeneratorConfig(
+            seed=1, n_pairs=10_000, input_dim=16, selfie_noise=0.2,
+            doc_noise={c: 0.3 for c in CONTINENTS}, domain_shift_strength=0.0,
+        )
+        ds = generate_dataset(cfg)
+        diff = ds.selfie_features - ds.doc_features
+        mean = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+        expected = cfg.input_dim * (0.2**2 + 0.3**2)
+        assert abs(mean - expected) / expected < 0.05
 
 
 class TestGenerateDataset:

@@ -7,7 +7,6 @@ from fairtriplet.core import ResolutionError, normalize_rows
 from fairtriplet.evaluation import (
     EvalSet,
     RocCurve,
-    build_group_pools,
     calibrate_threshold,
     calibrate_threshold_from_distances,
     default_theta_grid,
@@ -15,7 +14,6 @@ from fairtriplet.evaluation import (
     far_counts,
     far_matrix,
     frr,
-    gender_far,
     gender_pools,
     genuine_distances,
     impostor_distances,
@@ -39,6 +37,12 @@ def make_eval_set(rng, m, dim=6, countries=None, genders=None, ids=None,
         continents=np.array([lut[c] for c in countries.tolist()]),
         genders=genders if genders is not None else np.array(["male"] * m),
     )
+
+
+def continent_pools(es):
+    """One pool per continent present, in order of first appearance."""
+    return {g: es.subset(np.flatnonzero(es.continents == g))
+            for g in dict.fromkeys(es.continents.tolist())}
 
 
 def brute_force_far(es, theta, doc_es=None):
@@ -208,7 +212,7 @@ class TestFarMatrix:
             impostor_distances(es.selfie_emb, es.identity_ids,
                                es.doc_emb, es.identity_ids), 0.2,
         )
-        pools = build_group_pools(es, "continent", pool_size=m // 2)
+        pools = continent_pools(es)
         matrix = far_matrix(pools, float(theta), axis="continent")
         # Exchangeable groups: every cell estimates the same rate.
         p = matrix.values.mean()
@@ -222,16 +226,9 @@ class TestFarMatrix:
         rng = np.random.default_rng(14)
         countries = np.array(["poland"] * 10 + ["nigeria"] * 10)
         es = make_eval_set(rng, 20, countries=countries)
-        pools = build_group_pools(es, "continent", pool_size=10)
+        pools = continent_pools(es)
         matrix = far_matrix(pools, 0.0)
         assert np.all(matrix.values == 0.0)
-
-    def test_insufficient_pool_rejected(self):
-        rng = np.random.default_rng(15)
-        countries = np.array(["poland"] * 10 + ["nigeria"] * 3)
-        es = make_eval_set(rng, 13, countries=countries)
-        with pytest.raises(ResolutionError):
-            build_group_pools(es, "continent", pool_size=10)
 
     def test_diagonal_matches_pooled_far_when_identical(self):
         rng = np.random.default_rng(16)
@@ -240,7 +237,7 @@ class TestFarMatrix:
         es = make_eval_set(rng, m, countries=countries)
         theta = 1.5
         pooled = far(es, theta)
-        pools = build_group_pools(es, "continent", pool_size=m // 2)
+        pools = continent_pools(es)
         diag = per_group_far(pools, theta)
         for g, v in diag.items():
             n = m // 2 * (m // 2 - 1)
@@ -302,7 +299,7 @@ class TestGenderFar:
         genders = np.array((["male"] * (m // 2)) + (["female"] * (m // 2)))
         es = make_eval_set(rng, m, genders=genders)
         theta = 1.5
-        rates = gender_far(gender_pools(es), theta)
+        rates = per_group_far(gender_pools(es), theta)
         pooled = far(es, theta)
         n = (m // 2) * (m // 2 - 1)
         sigma = np.sqrt(pooled * (1 - pooled) / n)
@@ -312,7 +309,7 @@ class TestGenderFar:
         rng = np.random.default_rng(21)
         genders = np.array(["male"] * 10 + ["female"] * 10)
         es = make_eval_set(rng, 20, genders=genders)
-        assert set(gender_far(gender_pools(es), 0.0).values()) == {0.0}
+        assert set(per_group_far(gender_pools(es), 0.0).values()) == {0.0}
 
     def test_compact_female_cluster_raises_female_far(self):
         # Direction check straight from the generator: a more compact female
@@ -331,7 +328,7 @@ class TestGenderFar:
         net = EmbeddingNetwork.create(16, (16,), 8, "tanh", np.random.default_rng(0))
         es = EvalSet.from_dataset(net, ds)
         theta = calibrate_threshold(es, 0.01)
-        rates = gender_far(gender_pools(es), theta)
+        rates = per_group_far(gender_pools(es), theta)
         assert rates["female"] > rates["male"]
         # brute-force confirmation on subsampled pools
         pools = gender_pools(es)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,30 @@ eval:
     def test_preset_hashes_pinned(self, name):
         cfg = load_config(REPO / "configs" / name)
         assert (cfg.config_hash(), cfg.model_hash()) == PRESET_HASHES[name]
+
+    @pytest.mark.parametrize("raw, where", [
+        pytest.param({"data": {"geometry": {"bogus": 1}}}, "data.geometry", id="geometry-key"),
+        pytest.param({"training": {"hidden_dims": 5}}, "training.hidden_dims",
+                     id="hidden-dims-scalar"),
+        pytest.param({"training": {"hidden_dims": ["a"]}}, "training.hidden_dims[0]",
+                     id="hidden-dims-entry"),
+        pytest.param({"data": {"gender_split": 5}}, "data.gender_split", id="gender-split"),
+        pytest.param({"data": {"composition": [1]}}, "data.composition", id="composition"),
+        pytest.param({"sampler": {"weights": [1, 2]}}, "sampler.weights", id="weights"),
+        pytest.param({"training": {"batch_n": 2048.7}}, "training.batch_n", id="fractional-int"),
+        pytest.param({"output_dir": None}, "output_dir", id="null-output-dir"),
+        pytest.param({"eval": {"target_far": None}}, "eval.target_far", id="null-target-far"),
+    ])
+    def test_malformed_value_is_config_error(self, raw, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(raw)
+
+    def test_integral_floats_load_as_ints(self):
+        cfg = config_from_dict({"data": {"n_pairs": 5.0e+4},
+                                "training": {"batch_n": 2048.0, "hidden_dims": [16.0]}})
+        assert cfg.data.n_pairs == 50_000 and type(cfg.data.n_pairs) is int
+        assert cfg.training.batch_n == 2048 and type(cfg.training.batch_n) is int
+        assert cfg.training.hidden_dims == (16,) and type(cfg.training.hidden_dims[0]) is int
 
     def test_every_settable_key_hashes_pinned(self, monkeypatch):
         monkeypatch.chdir(REPO)  # data.path is relative and must exist
