@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -264,6 +265,24 @@ class TestEval:
         assert rep1 == rep2
         for name in ("report.json", "roc.csv", "far_matrix_continent.csv"):
             assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
+
+    def test_eval_output_bytes_pinned(self, tmp_path):
+        # A change to the float operation order anywhere in evaluation shows
+        # here as a hash change. The hashes hold for one numpy/BLAS build.
+        cfg = tiny_config(tmp_path, "pinned", seed=7, eval=EvalConfig(
+            target_far=1e-2, n_eval_pairs=300, group_pool_size=60, matrix_axis="country",
+            validation_every=3, roc_points=12, n_roc_splits=3))
+        run_training(cfg)
+        run_eval(cfg, latest_checkpoint(cfg.output_dir))
+        out = Path(cfg.output_dir) / "eval"
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("report.json", "far_matrix_country.csv", "roc.csv")}
+        assert digests == {
+            "report.json": "e1f12e262828e078639dc95dd4c512c023ef063d7341d53a7a81e60d945e7dff",
+            "far_matrix_country.csv":
+                "81ca98796f654a5b889eed063b6f8edaebd5ed72dd78edd32dec345dc95fbf2d",
+            "roc.csv": "125faa426460ddf35ff333898bd96a3e610ea14a4e0edfe9fe6d3dbb4342c7bb",
+        }
 
     def test_untrained_checkpoint_worse_than_trained(self, tmp_path):
         from fairtriplet.harness import stream_rng
