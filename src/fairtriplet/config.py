@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -121,10 +121,10 @@ class ExperimentConfig:
         d = {
             "seed": self.seed,
             "data_path": self.data_path,
-            "data": _plain(asdict(self.data)),
-            "training": _plain(asdict(self.training)),
-            "sampler": _plain(asdict(self.sampler)),
-            "eval": _plain(asdict(self.eval)),
+            "data": _plain(self.data),
+            "training": _plain(self.training),
+            "sampler": _plain(self.sampler),
+            "eval": _plain(self.eval),
         }
         d["data"].pop("taxonomy", None)
         return d
@@ -143,8 +143,12 @@ class ExperimentConfig:
 
 
 def _plain(obj):
-    """Make a config fragment JSON-clean (tuples -> lists, numpy -> python)."""
-    if isinstance(obj, dict):
+    """Make a config fragment JSON-clean (dataclasses and mappings -> dicts,
+    tuples -> lists, numpy -> python). Unlike ``dataclasses.asdict`` it copies
+    nothing, so any ``Mapping`` serialises, a ``MappingProxyType`` included."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Mapping):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]

@@ -163,26 +163,51 @@ def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(d, d))
 
 
-def cross_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row, as ``cross_squared_distances`` takes it."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def cross_squared_distances(a: np.ndarray, b: np.ndarray,
+                            b_norms: np.ndarray | None = None,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """All-pairs squared Euclidean distances between rows of two matrices.
 
     Uses the expansion ||a||^2 + ||b||^2 - 2<a,b>, clipped at zero. This is
     the canonical distance kernel for every batch computation in the toolkit
     (mining, FAR/FRR counting, calibration), so thresholds taken from one
     computation are exactly comparable in another.
+
+    A caller that pairs many row blocks of ``a`` with one ``b`` passes
+    ``b_norms = squared_norms(b)`` once instead of having it recomputed per
+    call, and may pass a float64 ``out`` of shape (len(a), len(b)) to be
+    reused; neither changes a single bit of the result.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.einsum("ij,ij->i", a, a)
-    nb = np.einsum("ij,ij->i", b, b)
-    d = a @ b.T
+    na = squared_norms(a)
+    nb = squared_norms(b) if b_norms is None else b_norms
+    d = np.matmul(a, b.T, out=out)
     d *= -2.0
     d += na[:, None]
     d += nb[None, :]
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of every cell with ``a_ids[row] == b_ids[col]``, in
+    row-major order, found from a sort of ``b_ids`` rather than an all-pairs
+    comparison."""
+    by_id = np.argsort(b_ids, kind="stable")
+    sorted_ids = b_ids[by_id]
+    first = np.searchsorted(sorted_ids, a_ids, side="left")
+    count = np.searchsorted(sorted_ids, a_ids, side="right") - first
+    rows = np.repeat(np.arange(len(a_ids)), count)
+    offset = np.repeat(first - (np.cumsum(count) - count), count)
+    return rows, by_id[offset + np.arange(rows.size)]
 
 
 def savez_deterministic(path, arrays: dict) -> None:

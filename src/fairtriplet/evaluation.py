@@ -16,6 +16,7 @@ Conventions, fixed across the whole toolkit and its file formats:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -26,10 +27,14 @@ from .core import (
     ResolutionError,
     assert_unit_rows,
     cross_squared_distances,
+    same_identity_pairs,
+    squared_norms,
 )
 from .model import EmbeddingNetwork
 
-_CHUNK_ROWS = 512
+# Selfie rows per distance tile; one (_TILE_ROWS, n_docs) float64 buffer is
+# live per counting call.
+_TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,15 @@ class EvalSet:
             self.countries[idx], self.continents[idx], self.genders[idx],
         )
 
+    @cached_property
+    def sorted_impostor(self) -> np.ndarray:
+        """The set's impostor distances (its selfies against its own docs),
+        sorted and read-only; built on first use and kept with the set."""
+        dists = impostor_distances(self.selfie_emb, self.identity_ids,
+                                   self.doc_emb, self.identity_ids)
+        dists.flags.writeable = False
+        return dists
+
 
 def genuine_distances(eval_set: EvalSet) -> np.ndarray:
     d = eval_set.selfie_emb - eval_set.doc_emb
@@ -89,24 +103,49 @@ def frr(eval_set: EvalSet, theta: float) -> float:
     return rejected / total
 
 
+def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
+    """Yield ``(lo, d)`` for consecutive selfie-row tiles, with ``d[i - lo, j]``
+    the squared distance of selfie i and doc j. ``d`` is a view of one buffer
+    that the next tile overwrites.
+
+    Every product has min(_TILE_ROWS, n) rows: the last tile is the
+    full-height window ending at the last selfie, of which only the rows not
+    yet yielded are handed out. BLAS picks its kernel by the shape of the
+    product (a one-row product goes through a matrix-vector routine), so a
+    short last tile could round differently from the rows above it.
+    """
+    doc_emb = np.asarray(doc_emb, dtype=np.float64)
+    n = len(selfie_emb)
+    height = min(_TILE_ROWS, n)
+    buf = np.empty((height, len(doc_emb)))
+    doc_norms = squared_norms(doc_emb)
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n)
+        d = cross_squared_distances(selfie_emb[hi - height:hi], doc_emb,
+                                    b_norms=doc_norms, out=buf)
+        yield lo, d[lo - (hi - height):]
+
+
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
                doc_emb: np.ndarray, doc_ids: np.ndarray,
                theta: float) -> tuple[int, int]:
     """(accepted impostor comparisons, impostor comparisons) at theta.
 
-    Row-chunked so the full distance matrix never materializes.
+    Streams the distances through row tiles (see ``_distance_tiles``) and
+    counts each tile's accepted cells, less those of its same-identity
+    cells, which are found once per call from a sort of the doc ids.
     """
-    accepted = 0
-    comparisons = 0
-    for lo in range(0, len(selfie_emb), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(selfie_emb))
-        d = cross_squared_distances(selfie_emb[lo:hi], doc_emb)
-        same = selfie_ids[lo:hi, None] == doc_ids[None, :]
-        acc = d < theta
-        accepted += int(np.count_nonzero(acc & ~same))
-        comparisons += acc.shape[0] * acc.shape[1] - int(np.count_nonzero(same))
+    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
+    comparisons = len(selfie_emb) * len(doc_emb) - same_rows.size
     if comparisons == 0:
         raise ValueError("no impostor comparisons available")
+    accepted = 0
+    acc_buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)), dtype=bool)
+    for lo, d in _distance_tiles(selfie_emb, doc_emb):
+        acc = np.less(d, theta, out=acc_buf[:len(d)])
+        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
+        accepted += (int(np.count_nonzero(acc))
+                     - int(np.count_nonzero(acc[same_rows[a:b] - lo, same_cols[a:b]])))
     return accepted, comparisons
 
 
@@ -121,14 +160,23 @@ def far(eval_set: EvalSet, theta: float) -> float:
 
 def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
                        doc_emb: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
-    """All impostor squared distances (same-identity pairs excluded), sorted."""
-    chunks = []
-    for lo in range(0, len(selfie_emb), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(selfie_emb))
-        d = cross_squared_distances(selfie_emb[lo:hi], doc_emb)
-        same = selfie_ids[lo:hi, None] == doc_ids[None, :]
-        chunks.append(d[~same])
-    out = np.concatenate(chunks) if chunks else np.empty(0)
+    """All impostor squared distances (same-identity pairs excluded), sorted.
+
+    The distances come from the same tiles as ``far_counts``, so a threshold
+    taken from them counts exactly there.
+    """
+    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
+    out = np.empty(len(selfie_emb) * len(doc_emb) - same_rows.size)
+    keep_buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)), dtype=bool)
+    pos = 0
+    for lo, d in _distance_tiles(selfie_emb, doc_emb):
+        keep = keep_buf[:len(d)]
+        keep.fill(True)
+        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
+        keep[same_rows[a:b] - lo, same_cols[a:b]] = False
+        values = d[keep]
+        out[pos:pos + values.size] = values
+        pos += values.size
     out.sort()
     return out
 
@@ -143,11 +191,7 @@ def calibrate_threshold(eval_set: EvalSet, target_far: float) -> float:
     target. Requires n * target_far >= 1, otherwise the target is below the
     measurement's resolution.
     """
-    dists = impostor_distances(
-        eval_set.selfie_emb, eval_set.identity_ids,
-        eval_set.doc_emb, eval_set.identity_ids,
-    )
-    return calibrate_threshold_from_distances(dists, target_far)
+    return calibrate_threshold_from_distances(eval_set.sorted_impostor, target_far)
 
 
 def calibrate_threshold_from_distances(sorted_impostor: np.ndarray,
@@ -238,15 +282,32 @@ class RocCurve:
             raise ValueError("ROC monotonicity violated")
 
 
+def _sorted_quantiles(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(sorted_values, qs)`` for an ascending array, with the
+    same index and interpolation arithmetic (the default linear method), read
+    in place. np.quantile partitions a copy of its input, which for a set's
+    impostor vector would double the memory that vector takes."""
+    n = len(sorted_values)
+    virtual = (n - 1) * qs
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    gamma = virtual - prev
+    a = sorted_values[prev.astype(np.intp)]
+    b = sorted_values[nxt.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
     """Threshold grid spanning reject-all to accept-all, from impostor
     distance quantiles."""
-    dists = impostor_distances(
-        eval_set.selfie_emb, eval_set.identity_ids,
-        eval_set.doc_emb, eval_set.identity_ids,
-    )
+    dists = eval_set.sorted_impostor
     qs = np.linspace(0.0, 1.0, max(points - 2, 2))
-    grid = np.quantile(dists, qs)
+    grid = _sorted_quantiles(dists, qs)
     grid = np.concatenate([[0.0], grid, [np.nextafter(dists[-1], np.inf)]])
     return np.unique(grid)
 
@@ -260,10 +321,7 @@ def roc_curve(eval_set: EvalSet, thetas: np.ndarray) -> RocCurve:
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    imp = impostor_distances(
-        eval_set.selfie_emb, eval_set.identity_ids,
-        eval_set.doc_emb, eval_set.identity_ids,
-    )
+    imp = eval_set.sorted_impostor
     gen = np.sort(genuine_distances(eval_set))
     fars = np.searchsorted(imp, thetas, side="left") / len(imp)
     frrs = (len(gen) - np.searchsorted(gen, thetas, side="left")) / len(gen)

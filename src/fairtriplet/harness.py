@@ -365,7 +365,9 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
 
     pools = {g: EvalSet.from_dataset(net, ds) for g, ds in pool_ds.items()}
     matrix = far_matrix(pools, theta, axis=cfg.eval.matrix_axis)
-    g_far = per_group_far(pools, theta)
+    # The diagonal cells are the within-group counts per_group_far would redo.
+    g_far = {g: int(matrix.accepted[i, i]) / int(matrix.comparisons[i, i])
+             for i, g in enumerate(matrix.groups)}
     g_frr = per_group_frr(pools, theta)
     genders = per_group_far(gender_pools(es), theta)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, cross_squared_distances
+from .core import Dataset, cross_squared_distances, same_identity_pairs, squared_norms
 from .model import EmbeddingNetwork
 from .sampling import SamplerSpec, choose_homogeneous_group, probabilities
 
@@ -140,19 +140,15 @@ def _candidate_blocks(batch: MiningBatch, margin: float):
         for r0 in starts
     ])
     limit = genuine + margin
-    # Slot i shares its identity with slots by_id[first[i]:first[i] + count[i]].
-    by_id = np.argsort(ids, kind="stable")
-    first = np.searchsorted(ids[by_id], ids, side="left")
-    count = np.searchsorted(ids[by_id], ids, side="right") - first
+    same_rows, same_cols = same_identity_pairs(ids, ids)
+    doc_norms = squared_norms(doc)
     for r0 in starts:
         r1 = min(r0 + MINE_BLOCK_ROWS, n)
-        d = cross_squared_distances(selfie[r0:r1], doc)
+        d = cross_squared_distances(selfie[r0:r1], doc, b_norms=doc_norms)
         selfie_mask = d < limit[r0:r1, None]
         doc_mask = d < limit[None, :]
-        c = count[r0:r1]
-        rows = np.repeat(np.arange(r1 - r0), c)
-        offset = np.repeat(first[r0:r1] - (np.cumsum(c) - c), c)
-        cols = by_id[offset + np.arange(rows.size)]
+        lo, hi = np.searchsorted(same_rows, (r0, r1))
+        rows, cols = same_rows[lo:hi] - r0, same_cols[lo:hi]
         selfie_mask[rows, cols] = False
         doc_mask[rows, cols] = False
         yield r0, r1, selfie_mask, doc_mask

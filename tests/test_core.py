@@ -13,7 +13,9 @@ from fairtriplet.core import (
     cross_squared_distances,
     normalize,
     normalize_rows,
+    same_identity_pairs,
     squared_distance,
+    squared_norms,
 )
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 
@@ -92,6 +94,25 @@ class TestSquaredDistance:
         for i in range(7):
             for j in range(9):
                 assert abs(d[i, j] - squared_distance(a[i], b[j])) < 1e-12
+
+    def test_given_norms_and_buffer_change_no_bit(self):
+        rng = np.random.default_rng(1)
+        a = normalize_rows(rng.normal(size=(130, 16)))
+        b = normalize_rows(rng.normal(size=(500, 16)))
+        buf = np.empty((130, 500))
+        d = cross_squared_distances(a, b, b_norms=squared_norms(b), out=buf)
+        assert d is buf
+        assert np.array_equal(d, cross_squared_distances(a, b))
+
+    def test_same_identity_pairs_match_dense_comparison(self):
+        rng = np.random.default_rng(2)
+        a_ids = rng.integers(0, 20, 50)
+        b_ids = rng.integers(0, 20, 35)
+        rows, cols = same_identity_pairs(a_ids, b_ids)
+        want_rows, want_cols = np.nonzero(a_ids[:, None] == b_ids[None, :])
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        empty = same_identity_pairs(a_ids, np.array([99, 100]))
+        assert empty[0].size == empty[1].size == 0
 
 
 class TestTaxonomy:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtriplet.core import ResolutionError, normalize_rows
+from fairtriplet import evaluation
+from fairtriplet.core import ResolutionError, cross_squared_distances, normalize_rows
 from fairtriplet.evaluation import (
     EvalSet,
     RocCurve,
@@ -59,6 +62,13 @@ def brute_force_far(es, theta, doc_es=None):
             if d < theta:
                 accepted += 1
     return accepted, comparisons
+
+
+def dense_far_counts(selfie, selfie_ids, doc, doc_ids, theta):
+    """One-shot reference: the whole distance matrix and a dense id mask."""
+    d = cross_squared_distances(selfie, doc)
+    impostor = selfie_ids[:, None] != doc_ids[None, :]
+    return int(np.count_nonzero((d < theta) & impostor)), int(np.count_nonzero(impostor))
 
 
 def brute_force_frr(es, theta):
@@ -155,6 +165,99 @@ class TestFar:
         frrs = [frr(es, t) for t in thetas]
         assert all(a <= b for a, b in zip(fars, fars[1:]))
         assert all(a >= b for a, b in zip(frrs, frrs[1:]))
+
+
+class TestTiledFarCounts:
+    @pytest.mark.parametrize("n_selfies", [1, 127, 128, 129, 513])
+    def test_matches_dense_reference(self, n_selfies):
+        rng = np.random.default_rng(n_selfies)
+        n_docs = 300
+        selfie = normalize_rows(rng.normal(size=(n_selfies, 8)))
+        doc = normalize_rows(rng.normal(size=(n_docs, 8)))
+        # Ids repeat within each side and across the two sides.
+        selfie_ids = rng.integers(0, 150, n_selfies)
+        doc_ids = rng.integers(0, 150, n_docs)
+        d = cross_squared_distances(selfie, doc)
+        impostor = selfie_ids[:, None] != doc_ids[None, :]
+        # Ties on the first row and many on the last, which sits in the last
+        # tile: a one-row product rounds about a tenth of its cells lower.
+        ties = [*d[0, impostor[0]][::60], *d[-1, impostor[-1]][::3]]
+        top = d[impostor].max()
+        for theta in (0.0, *ties, top, np.nextafter(top, np.inf), 4.1):
+            got = far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+            assert got == dense_far_counts(selfie, selfie_ids, doc, doc_ids, theta), theta
+        accepted, comparisons = far_counts(selfie, selfie_ids, doc, doc_ids, top)
+        assert accepted < comparisons  # a distance equal to theta is rejected
+        assert far_counts(selfie, selfie_ids, doc, doc_ids, 0.0)[0] == 0
+        assert far_counts(selfie, selfie_ids, doc, doc_ids, 4.1) == (comparisons, comparisons)
+
+    def test_no_impostor_comparisons_rejected(self):
+        rng = np.random.default_rng(21)
+        selfie = normalize_rows(rng.normal(size=(130, 4)))
+        doc = normalize_rows(rng.normal(size=(5, 4)))
+        with pytest.raises(ValueError):
+            far_counts(selfie, np.full(130, 7), doc, np.full(5, 7), 1.0)
+
+    def test_far_matrix_matches_dense_recount(self):
+        rng = np.random.default_rng(22)
+        m = 400
+        countries = rng.choice(np.array(["poland", "nigeria", "india"]), m)
+        es = make_eval_set(rng, m, countries=countries, ids=rng.integers(0, 300, m))
+        pools = continent_pools(es)
+        theta = float(np.quantile(es.sorted_impostor, 0.3))
+        matrix = far_matrix(pools, theta)
+        for i, g in enumerate(matrix.groups):
+            for j, h in enumerate(matrix.groups):
+                a, c = dense_far_counts(pools[g].selfie_emb, pools[g].identity_ids,
+                                        pools[h].doc_emb, pools[h].identity_ids, theta)
+                assert (matrix.accepted[i, j], matrix.comparisons[i, j]) == (a, c)
+                assert matrix.values[i, j] == a / c
+
+    def test_impostor_vector_built_once_per_set(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return impostor_distances(*args)
+
+        monkeypatch.setattr(evaluation, "impostor_distances", counting)
+        es = make_eval_set(np.random.default_rng(23), 60)
+        theta = calibrate_threshold(es, 0.05)
+        grid = default_theta_grid(es, 20)
+        roc_curve(es, grid)
+        assert calls == [60]
+        half = es.subset(np.arange(30))
+        calibrate_threshold(half, 0.05)
+        default_theta_grid(half, 20)
+        assert calls == [60, 30]
+        assert np.array_equal(es.sorted_impostor, impostor_distances(
+            es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids))
+        assert far(es, theta) <= 0.05
+
+    def test_sorted_quantiles_equal_numpy_bits(self):
+        rng = np.random.default_rng(25)
+        for n in (1, 2, 3, 17, 1000):
+            values = np.sort(np.round(rng.uniform(0.0, 4.0, n), 2))  # with repeats
+            for points in (2, 3, 12, 48):
+                qs = np.linspace(0.0, 1.0, points)
+                got = evaluation._sorted_quantiles(values, qs)
+                assert got.tobytes() == np.quantile(values, qs).tobytes(), (n, points)
+
+    def test_memory_is_one_tile(self):
+        # A 128-row float tile against 4000 docs is 4.1 MB; a 512-row chunk
+        # with its dense id mask and boolean temporaries is over 16 MB.
+        rng = np.random.default_rng(24)
+        n = 4000
+        selfie = normalize_rows(rng.normal(size=(n, 8)))
+        doc = normalize_rows(rng.normal(size=(n, 8)))
+        ids = np.arange(n)
+        tracemalloc.start()
+        try:
+            far_counts(selfie, ids, doc, ids, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCalibration:

@@ -190,6 +190,19 @@ eval:
         assert (cfg.config_hash(), cfg.model_hash()) == ("42776272b915f7ff", "c0c3af31fae3f676")
 
 
+    def test_read_only_mappings_hash_like_dicts(self):
+        from types import MappingProxyType
+
+        def cfg(wrap):
+            return ExperimentConfig(
+                data=GeneratorConfig(doc_noise=wrap({c: 0.25 for c in CONTINENTS})),
+                sampler=SamplerConfig(variant="fixed", weights=wrap({"EU": 1.0})))
+
+        proxied = cfg(MappingProxyType)
+        assert proxied.config_hash() == cfg(dict).config_hash()
+        assert proxied.model_hash() == cfg(dict).model_hash()
+
+
 class TestTrainingRuns:
     def test_determinism_byte_identical(self, tmp_path):
         cfg_a = tiny_config(tmp_path, "a")
@@ -283,6 +296,22 @@ class TestEval:
                 "81ca98796f654a5b889eed063b6f8edaebd5ed72dd78edd32dec345dc95fbf2d",
             "roc.csv": "125faa426460ddf35ff333898bd96a3e610ea14a4e0edfe9fe6d3dbb4342c7bb",
         }
+
+    def test_group_far_equals_per_group_far(self, tmp_path):
+        from fairtriplet.evaluation import EvalSet, per_group_far
+        from fairtriplet.harness import _group_pool_datasets
+        from fairtriplet.model import load_checkpoint
+
+        cfg = tiny_config(tmp_path, "diagonal")
+        run_training(cfg)
+        ckpt = latest_checkpoint(cfg.output_dir)
+        rep = run_eval(cfg, ckpt)
+        net = load_checkpoint(ckpt)[0]
+        pool_ds = _group_pool_datasets(cfg, cfg.eval.matrix_axis, "datagen-eval-pools",
+                                       cfg.eval.group_pool_size)
+        pools = {g: EvalSet.from_dataset(net, ds) for g, ds in pool_ds.items()}
+        expected = per_group_far(pools, rep["theta"])
+        assert list(rep["group_far"].items()) == list(expected.items())
 
     def test_untrained_checkpoint_worse_than_trained(self, tmp_path):
         from fairtriplet.harness import stream_rng
