@@ -51,6 +51,7 @@ def main() -> int:
         "mixed_equal": SamplerConfig(variant="fixed", axis="continent",
                                      weights="equal"),
     }
+    eval_cfg = EvalConfig(group_pool_size=args.pool, validation_every=args.validate_every)
     records = {}
     for name, sampler in samplers.items():
         cfg = ExperimentConfig(
@@ -59,14 +60,13 @@ def main() -> int:
             data=GeneratorConfig(n_pairs=args.pairs),
             training=TrainingConfig(total_steps=args.steps, batch_n=args.batch),
             sampler=sampler,
-            eval=EvalConfig(group_pool_size=args.pool,
-                            validation_every=args.validate_every),
+            eval=eval_cfg,
         )
         records[name] = run_training(cfg)
         print(f"[{name}] {records[name].final_step} steps, "
               f"{len(records[name].epochs)} checkpoints")
 
-    far_floor = 1.0 / (args.pool * (args.pool - 1))
+    far_floor = eval_cfg.resolved_far_floor()
     table = {name: trajectory_variances(rec.epochs, far_floor)
              for name, rec in records.items()}
     groups = sorted(next(iter(table.values())))

@@ -4,11 +4,10 @@ pair data."""
 
 from .core import (
     CONTINENTS,
+    COUNTRIES,
     GENDERS,
     ConfigError,
     Dataset,
-    DEFAULT_TAXONOMY,
-    GroupTaxonomy,
     ResolutionError,
     continent_of,
     normalize,
@@ -24,17 +23,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONTINENTS",
+    "COUNTRIES",
     "GENDERS",
     "ConfigError",
     "Dataset",
-    "DEFAULT_TAXONOMY",
     "DynamicState",
     "EmbeddingNetwork",
     "EvalConfig",
     "ExperimentConfig",
     "GeneratorConfig",
     "GroupGeometry",
-    "GroupTaxonomy",
     "OptimizerState",
     "ResolutionError",
     "RunRecord",

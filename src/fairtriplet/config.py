@@ -20,7 +20,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .core import ConfigError, DEFAULT_TAXONOMY
+from .core import ConfigError, axis_groups
 from .datagen import GeneratorConfig
 from .model import TrainingConfig
 from .sampling import (
@@ -46,7 +46,7 @@ class SamplerConfig:
 
     def build(self) -> SamplerSpec:
         if self.variant == "dynamic":
-            groups = DEFAULT_TAXONOMY.groups(self.axis)
+            groups = axis_groups(self.axis)
             return SamplerSpec(
                 variant="dynamic",
                 axis=self.axis,
@@ -118,7 +118,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict[str, Any]:
         # output_dir is deliberately absent: where a run writes is an
         # execution detail, not part of the experiment's identity.
-        d = {
+        return {
             "seed": self.seed,
             "data_path": self.data_path,
             "data": _plain(self.data),
@@ -126,8 +126,6 @@ class ExperimentConfig:
             "sampler": _plain(self.sampler),
             "eval": _plain(self.eval),
         }
-        d["data"].pop("taxonomy", None)
-        return d
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -158,10 +156,6 @@ def _plain(obj):
         return obj.item()
     raise ConfigError(f"cannot serialize config value of type {type(obj)!r}")
 
-
-# Fields a config file does not set by their own name: the dataset file is
-# written as data.path, and the group taxonomy is fixed.
-_NOT_SETTABLE = {"data_path", "taxonomy"}
 
 _NOUNS = {int: "an integer", float: "a number", str: "a string", tuple: "a list",
           Mapping: "a mapping", type(None): "null"}
@@ -224,7 +218,8 @@ def _from_section(cls, raw: Any, where: str):
     """Build the config dataclass ``cls`` from its section, field by field."""
     label = where or "config"
     sec = _section(raw, label)
-    unknown = set(sec) - ({f.name for f in fields(cls)} - _NOT_SETTABLE)
+    # A config file names the dataset file data.path, not data_path.
+    unknown = set(sec) - ({f.name for f in fields(cls)} - {"data_path"})
     if unknown:
         raise ConfigError(f"unknown {label} keys: {sorted(unknown, key=str)}")
     hints = get_type_hints(cls)

@@ -1,5 +1,5 @@
-"""Core domain types: group taxonomy, datasets, and the unit-sphere distance
-primitives shared by every other module.
+"""Core domain types: the fixed country table, datasets, and the unit-sphere
+distance primitives shared by every other module.
 
 Embeddings are plain float64 numpy arrays with unit L2 norm (unit rows for
 batches); ``normalize`` / ``normalize_rows`` are the constructors that
@@ -22,7 +22,6 @@ import numpy as np
 
 CONTINENTS = ("EU", "AM", "AF", "AS", "OC", "UN")
 GENDERS = ("male", "female", "unknown")
-GROUP_AXES = ("country", "continent", "gender")
 
 # Canonical country-group table: 30 groups, each pinned to exactly one
 # continent. The "*_rem" buckets are atomic remainder groups, not unions of
@@ -59,6 +58,15 @@ _COUNTRY_ROWS = (
     ("oceania", "OC"),
     ("unknown", "UN"),
 )
+# The canonical group order of reports, CSV headers and sampling.
+COUNTRIES = tuple(c for c, _ in _COUNTRY_ROWS)
+_CONTINENT_OF = dict(_COUNTRY_ROWS)
+
+# Recorded in dataset file headers; a file written under another table is
+# rejected on load.
+TAXONOMY_HASH = hashlib.sha256(
+    "\n".join(f"{c}:{k}" for c, k in _COUNTRY_ROWS).encode("ascii")
+).hexdigest()[:16]
 
 
 class ConfigError(Exception):
@@ -69,66 +77,30 @@ class ResolutionError(Exception):
     """A measurement was requested below its statistical resolution."""
 
 
-@dataclass(frozen=True)
-class GroupTaxonomy:
-    """The fixed country-group -> continent mapping.
-
-    ``rows`` is an ordered tuple of (country_code, continent_code) pairs; the
-    order defines the canonical group order used everywhere (reports, CSV
-    headers, sampling).
-    """
-
-    rows: tuple[tuple[str, str], ...] = _COUNTRY_ROWS
-
-    def __post_init__(self) -> None:
-        codes = [c for c, _ in self.rows]
-        if len(set(codes)) != len(codes):
-            raise ConfigError("duplicate country codes in taxonomy")
-        bad = sorted({cont for _, cont in self.rows} - set(CONTINENTS))
-        if bad:
-            raise ConfigError(f"unknown continent codes in taxonomy: {bad}")
-
-    @cached_property
-    def countries(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.rows)
-
-    @cached_property
-    def _continent_map(self) -> dict[str, str]:
-        return dict(self.rows)
-
-    def continent_of(self, country: str) -> str:
-        try:
-            return self._continent_map[country]
-        except KeyError:
-            raise ValueError(f"unknown country code: {country!r}") from None
-
-    def countries_in(self, continent: str) -> tuple[str, ...]:
-        if continent not in CONTINENTS:
-            raise ValueError(f"unknown continent code: {continent!r}")
-        return tuple(c for c, k in self.rows if k == continent)
-
-    def groups(self, axis: str) -> tuple[str, ...]:
-        """Canonical group codes for a grouping axis."""
-        if axis == "country":
-            return self.countries
-        if axis == "continent":
-            return CONTINENTS
-        if axis == "gender":
-            return GENDERS
-        raise ValueError(f"unknown grouping axis: {axis!r}")
-
-    def table_hash(self) -> str:
-        """Stable hash of the mapping, recorded in dataset file headers."""
-        text = "\n".join(f"{c}:{k}" for c, k in self.rows)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-
-
-DEFAULT_TAXONOMY = GroupTaxonomy()
-
-
 def continent_of(country: str) -> str:
     """Continent code for a country group, per the canonical table."""
-    return DEFAULT_TAXONOMY.continent_of(country)
+    try:
+        return _CONTINENT_OF[country]
+    except KeyError:
+        raise ValueError(f"unknown country code: {country!r}") from None
+
+
+def countries_in(continent: str) -> tuple[str, ...]:
+    """Country groups of a continent, in canonical order."""
+    if continent not in CONTINENTS:
+        raise ValueError(f"unknown continent code: {continent!r}")
+    return tuple(c for c, k in _COUNTRY_ROWS if k == continent)
+
+
+def axis_groups(axis: str) -> tuple[str, ...]:
+    """Canonical group codes for a grouping axis."""
+    if axis == "country":
+        return COUNTRIES
+    if axis == "continent":
+        return CONTINENTS
+    if axis == "gender":
+        return GENDERS
+    raise ValueError(f"unknown grouping axis: {axis!r}")
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -249,7 +221,6 @@ class Dataset:
     genders: np.ndarray        # (n,) unicode
     selfie_features: np.ndarray  # (n, d) float64
     doc_features: np.ndarray     # (n, d) float64
-    taxonomy: GroupTaxonomy = DEFAULT_TAXONOMY
 
     def __post_init__(self) -> None:
         n = len(self.identity_ids)
@@ -258,8 +229,7 @@ class Dataset:
                 raise ValueError(f"column {name} has length != {n}")
         if self.selfie_features.ndim != 2 or self.selfie_features.shape != self.doc_features.shape:
             raise ValueError("feature matrices must be 2-D and equally shaped")
-        known = set(self.taxonomy.countries)
-        bad = sorted(set(np.unique(self.countries).tolist()) - known)
+        bad = sorted(set(np.unique(self.countries).tolist()) - set(COUNTRIES))
         if bad:
             raise ValueError(f"unknown country codes in dataset: {bad}")
         bad_g = sorted(set(np.unique(self.genders).tolist()) - set(GENDERS))
@@ -279,7 +249,7 @@ class Dataset:
 
     @cached_property
     def continents(self) -> np.ndarray:
-        lut = {c: self.taxonomy.continent_of(c) for c in np.unique(self.countries)}
+        lut = {c: continent_of(c) for c in np.unique(self.countries)}
         out = np.array([lut[c] for c in self.countries.tolist()])
         out.setflags(write=False)
         return out
@@ -300,10 +270,7 @@ class Dataset:
         to empty index arrays.
         """
         tags = self.labels(axis)
-        return {
-            g: np.flatnonzero(tags == g)
-            for g in self.taxonomy.groups(axis)
-        }
+        return {g: np.flatnonzero(tags == g) for g in axis_groups(axis)}
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
@@ -312,5 +279,4 @@ class Dataset:
             genders=self.genders[idx],
             selfie_features=self.selfie_features[idx],
             doc_features=self.doc_features[idx],
-            taxonomy=self.taxonomy,
         )

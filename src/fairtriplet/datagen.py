@@ -24,12 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    CONTINENTS,
-    GENDERS,
-    ConfigError,
-    Dataset,
-    DEFAULT_TAXONOMY,
-    GroupTaxonomy,
+    CONTINENTS, COUNTRIES, GENDERS, ConfigError, Dataset, continent_of, countries_in,
 )
 
 # Continent shares of the default training composition (fractions of all
@@ -118,7 +113,6 @@ class GeneratorConfig:
     domain_shift_strength: float = 0.30
     duplicate_rate: float = 0.02
     geometry: GroupGeometry = GroupGeometry()
-    taxonomy: GroupTaxonomy = DEFAULT_TAXONOMY
 
     def validate(self) -> None:
         if self.input_dim < len(CONTINENTS):
@@ -129,7 +123,7 @@ class GeneratorConfig:
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"composition must sum to 1 (got {total:.12g})")
         keys = set(self.composition)
-        if not (keys <= set(CONTINENTS) or keys <= set(self.taxonomy.countries)):
+        if not (keys <= set(CONTINENTS) or keys <= set(COUNTRIES)):
             raise ConfigError("composition keys must all be continents or all be countries")
         if any(v < 0 for v in self.composition.values()):
             raise ConfigError("composition values must be >= 0")
@@ -195,10 +189,10 @@ def realize_geometry(config: GeneratorConfig) -> GeometryRealization:
     }
 
     country_centers = {}
-    for country in config.taxonomy.countries:
+    for country in COUNTRIES:
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
-        cont = config.taxonomy.continent_of(country)
+        cont = continent_of(country)
         country_centers[country] = continent_centers[cont] + geo.separation * geo.country_spread * u
 
     gender_directions = {}
@@ -215,12 +209,11 @@ def realize_geometry(config: GeneratorConfig) -> GeometryRealization:
 
 def country_probabilities(config: GeneratorConfig) -> np.ndarray:
     """Per-country draw probabilities implied by composition + country weights,
-    aligned with taxonomy country order."""
-    tax = config.taxonomy
-    probs = np.zeros(len(tax.countries))
+    aligned with ``COUNTRIES``."""
+    probs = np.zeros(len(COUNTRIES))
     if set(config.composition) <= set(CONTINENTS):
         for cont, share in config.composition.items():
-            members = tax.countries_in(cont)
+            members = countries_in(cont)
             w = np.array(
                 [
                     (config.country_weights or {}).get(c, 1.0)
@@ -232,10 +225,10 @@ def country_probabilities(config: GeneratorConfig) -> np.ndarray:
                 raise ConfigError(f"country weights within {cont} must have positive sum")
             w /= w.sum()
             for c, wc in zip(members, w):
-                probs[tax.countries.index(c)] = share * wc
+                probs[COUNTRIES.index(c)] = share * wc
     else:
         for c, share in config.composition.items():
-            probs[tax.countries.index(c)] = share
+            probs[COUNTRIES.index(c)] = share
     return probs
 
 
@@ -247,7 +240,6 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     mirroring the small repeated-identity contamination of production data.
     """
     config.validate()
-    tax = config.taxonomy
     real = realize_geometry(config)
     n, d = config.n_pairs, config.input_dim
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLING_STREAM]))
@@ -258,7 +250,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     if n >= (1 << 24):
         raise ConfigError("n_pairs must be < 2**24")
     probs = country_probabilities(config)
-    country_idx = rng.choice(len(tax.countries), size=n, p=probs)
+    country_idx = rng.choice(len(COUNTRIES), size=n, p=probs)
     gender_u = rng.random(n)
     hidden_u = rng.random(n)
     dup_flags = rng.random(n) < config.duplicate_rate
@@ -268,7 +260,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     eps_selfie = rng.standard_normal((n, d))
     eps_doc = rng.standard_normal((n, d))
 
-    continent_by_country = np.array([tax.continent_of(c) for c in tax.countries])
+    continent_by_country = np.array([continent_of(c) for c in COUNTRIES])
     continents_idx = np.array(
         [CONTINENTS.index(k) for k in continent_by_country[country_idx]]
     )
@@ -294,11 +286,11 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     for i in np.flatnonzero(dup_flags):
         root[i] = root[src[i]]
 
-    country_codes = np.array(tax.countries)[country_idx[root]]
+    country_codes = np.array(COUNTRIES)[country_idx[root]]
     genders = np.array(GENDERS)[gender_idx[root]]
     root_cont_idx = continents_idx[root]
 
-    country_center = np.stack([real.country_centers[c] for c in tax.countries])
+    country_center = np.stack([real.country_centers[c] for c in COUNTRIES])
     gender_dir = np.stack([real.gender_directions[g] for g in GENDERS])
     spread_mult = np.array([config.gender_spread[g] for g in GENDERS])
 
@@ -318,5 +310,4 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
         genders=genders,
         selfie_features=selfies,
         doc_features=docs,
-        taxonomy=tax,
     )

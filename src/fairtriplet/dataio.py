@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Dataset, DEFAULT_TAXONOMY, GroupTaxonomy, savez_deterministic
+from .core import TAXONOMY_HASH, ConfigError, Dataset, savez_deterministic
 from .model import EmbeddingNetwork
 
 DATASET_FORMAT_VERSION = 1
@@ -23,7 +23,7 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
         "format_version": np.int64(DATASET_FORMAT_VERSION),
         "input_dim": np.int64(dataset.input_dim),
         "n_pairs": np.int64(len(dataset)),
-        "taxonomy_hash": np.str_(dataset.taxonomy.table_hash()),
+        "taxonomy_hash": np.str_(TAXONOMY_HASH),
         "identity_id": dataset.identity_ids,
         "country": dataset.countries,
         "gender": dataset.genders,
@@ -32,21 +32,18 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
     })
 
 
-def load_dataset(path: str | Path, taxonomy: GroupTaxonomy = DEFAULT_TAXONOMY) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     with np.load(path) as z:
         if int(z["format_version"]) != DATASET_FORMAT_VERSION:
             raise ConfigError(f"unsupported dataset format version in {path}")
-        if str(z["taxonomy_hash"]) != taxonomy.table_hash():
-            raise ConfigError(
-                f"dataset {path} was written with a different group taxonomy"
-            )
+        if str(z["taxonomy_hash"]) != TAXONOMY_HASH:
+            raise ConfigError(f"dataset {path} was written with a different country table")
         ds = Dataset(
             identity_ids=z["identity_id"],
             countries=z["country"],
             genders=z["gender"],
             selfie_features=z["selfie"],
             doc_features=z["doc"],
-            taxonomy=taxonomy,
         )
         if len(ds) != int(z["n_pairs"]) or ds.input_dim != int(z["input_dim"]):
             raise ConfigError(f"dataset {path} header disagrees with its contents")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import ConfigError, Dataset, DEFAULT_TAXONOMY
+from .core import ConfigError, Dataset, axis_groups
 from .datagen import generate_dataset
 from .dataio import (
     load_dataset,
@@ -136,7 +136,7 @@ def _natural_dataset(cfg: ExperimentConfig, stream: str, n_pairs: int) -> Datase
 def _group_pool_datasets(cfg: ExperimentConfig, axis: str, stream: str,
                          pool_size: int) -> dict[str, Dataset]:
     """One dataset of exactly pool_size pairs per group on the axis."""
-    groups = DEFAULT_TAXONOMY.groups(axis)
+    groups = axis_groups(axis)
     pools = {}
     for k, g in enumerate(groups):
         pools[g] = generate_dataset(
@@ -205,6 +205,9 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     far_floor = cfg.eval.resolved_far_floor()
     mb_per_round = math.ceil(2 * tcfg.batch_n / tcfg.minibatch_size)
 
+    def checkpoint_name(step: int) -> str:
+        return str(Path("checkpoints", f"ckpt_{step:06d}.npz"))
+
     if resume_from is not None:
         net, opt, start_step, _, extras = load_checkpoint(resume_from, full_hash)
         rng_sampler = _rng_from_state(extras["rng_sampler"])
@@ -217,6 +220,10 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
             final_step=start_step,
         )
         loss_buffer: list[float] = json.loads(extras["loss_buffer"])
+        # A checkpoint stores the list without its own name. A validation
+        # checkpoint (its step has the last epoch entry) belongs in it.
+        if record.epochs and record.epochs[-1]["step"] == start_step:
+            record.checkpoints.append(checkpoint_name(start_step))
     else:
         net = EmbeddingNetwork.create(
             train_ds.input_dim, tcfg.hidden_dims, tcfg.embed_dim,
@@ -233,13 +240,9 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         record = RunRecord(config_hash=full_hash)
         loss_buffer = []
 
-    def checkpoint_path(step: int) -> Path:
-        return out / "checkpoints" / f"ckpt_{step:06d}.npz"
-
-    def save_state(step: int) -> Path:
-        path = checkpoint_path(step)
+    def save_state(step: int) -> None:
         save_checkpoint(
-            path, net, opt, step, full_hash,
+            out / checkpoint_name(step), net, opt, step, full_hash,
             extras={
                 "model_hash": cfg.model_hash(),
                 "rng_sampler": _rng_state_json(rng_sampler),
@@ -250,7 +253,7 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 "loss_buffer": json.dumps(loss_buffer),
             },
         )
-        return path
+        record.checkpoints.append(checkpoint_name(step))
 
     t_start = time.perf_counter()
     step = start_step
@@ -284,12 +287,10 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                     entry["dynamic_weights"] = dict(new_state.weights)
                     sampler = sampler.with_dynamic(new_state)
                 record.epochs.append(entry)
-                path = save_state(step)
-                record.checkpoints.append(str(path.relative_to(out)))
+                save_state(step)
             if stop_after is not None and step >= stop_after:
                 if not at_validation:
-                    path = save_state(step)
-                    record.checkpoints.append(str(path.relative_to(out)))
+                    save_state(step)
                 break
     except Exception as e:
         record.final_step = step
@@ -312,24 +313,35 @@ def _validation_entry(cfg: ExperimentConfig, net: EmbeddingNetwork,
                       sampler: SamplerSpec, step: int, train_ds: Dataset,
                       val_ds: Dataset, val_pool_ds: dict[str, Dataset],
                       loss_buffer: list[float]) -> dict:
-    val_es = EvalSet.from_dataset(net, val_ds)
-    theta = calibrate_threshold(val_es, cfg.eval.target_far)
-    accepted, comparisons = far_counts(
-        val_es.selfie_emb, val_es.identity_ids,
-        val_es.doc_emb, val_es.identity_ids, theta,
-    )
-    rejected, genuine = frr_counts(val_es, theta)
-    pools = {g: EvalSet.from_dataset(net, ds) for g, ds in val_pool_ds.items()}
+    _, theta, overall, pools = _measure(net, val_ds, val_pool_ds, cfg.eval.target_far)
     return {
         "step": step,
         "mean_loss": float(np.mean(loss_buffer)) if loss_buffer else None,
         "theta": theta,
-        "overall_far": accepted / comparisons,
-        "overall_frr": rejected / genuine,
+        "overall_far": overall["far"],
+        "overall_frr": overall["frr"],
         "group_far": per_group_far(pools, theta),
         "group_frr": per_group_frr(pools, theta),
         "sampling_probabilities": probabilities(sampler, train_ds),
     }
+
+
+def _measure(net: EmbeddingNetwork, ds: Dataset, pool_ds: dict[str, Dataset],
+             target_far: float):
+    """The steps validation and eval share: embed ``ds``, calibrate theta on
+    it at ``target_far``, count its overall FAR and FRR at theta, and embed
+    the group pools. Returns (eval set, theta, overall counts, pools)."""
+    es = EvalSet.from_dataset(net, ds)
+    theta = calibrate_threshold(es, target_far)
+    accepted, comparisons = far_counts(
+        es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids, theta,
+    )
+    rejected, genuine = frr_counts(es, theta)
+    overall = {"far": accepted / comparisons, "far_accepted": accepted,
+               "far_comparisons": comparisons, "frr": rejected / genuine,
+               "frr_rejected": rejected, "genuine_pairs": genuine}
+    pools = {g: EvalSet.from_dataset(net, d) for g, d in pool_ds.items()}
+    return es, theta, overall, pools
 
 
 def latest_checkpoint(run_dir: str | Path) -> Path:
@@ -356,14 +368,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     pool_ds = _group_pool_datasets(
         cfg, cfg.eval.matrix_axis, "datagen-eval-pools", cfg.eval.group_pool_size
     )
-    es = EvalSet.from_dataset(net, eval_ds)
-    theta = calibrate_threshold(es, cfg.eval.target_far)
-    accepted, comparisons = far_counts(
-        es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids, theta,
-    )
-    rejected, genuine = frr_counts(es, theta)
-
-    pools = {g: EvalSet.from_dataset(net, ds) for g, ds in pool_ds.items()}
+    es, theta, overall, pools = _measure(net, eval_ds, pool_ds, cfg.eval.target_far)
     matrix = far_matrix(pools, theta, axis=cfg.eval.matrix_axis)
     # The diagonal cells are the within-group counts per_group_far would redo.
     g_far = {g: int(matrix.accepted[i, i]) / int(matrix.comparisons[i, i])
@@ -401,14 +406,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
         "checkpoint_step": step,
         "target_far": cfg.eval.target_far,
         "theta": theta,
-        "overall": {
-            "far": accepted / comparisons,
-            "far_accepted": accepted,
-            "far_comparisons": comparisons,
-            "frr": rejected / genuine,
-            "frr_rejected": rejected,
-            "genuine_pairs": genuine,
-        },
+        "overall": overall,
         "group_far": g_far,
         "group_frr": g_frr,
         "gender_far": genders,

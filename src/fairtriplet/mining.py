@@ -85,17 +85,12 @@ def assemble_batch(dataset: Dataset, sampler: SamplerSpec, n: int,
     within the group, with replacement."""
     if n < 2:
         raise ValueError("batch size must be >= 2")
-    probs = probabilities(sampler, dataset)
+    probs = probabilities(sampler, dataset)  # raises for an empty positive-weight group
     index = dataset.group_index(sampler.axis)
-    for g, p in probs.items():
-        if p > 0 and len(index[g]) == 0:
-            raise ValueError(f"group {g!r} has positive weight but no samples")
 
     groups = list(probs)
     if sampler.variant == "homogeneous":
         g = choose_homogeneous_group(sampler.weights, rng)
-        if len(index[g]) == 0:
-            raise ValueError(f"group {g!r} has positive weight but no samples")
         drawn = np.full(n, groups.index(g))
     else:
         drawn = rng.choice(len(groups), size=n, p=np.array([probs[g] for g in groups]))

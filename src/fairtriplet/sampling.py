@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Dataset, GroupTaxonomy, DEFAULT_TAXONOMY
+from .core import COUNTRIES, Dataset, axis_groups, continent_of
 
 FAR_WEIGHT_EXPONENT = math.log10(4.0)
 
@@ -95,7 +95,7 @@ def probabilities(spec: SamplerSpec, dataset: Dataset) -> dict[str, float]:
     if spec.variant == "natural":
         tags = dataset.labels(spec.axis)
         n = len(dataset)
-        counts = {g: int(np.sum(tags == g)) for g in dataset.taxonomy.groups(spec.axis)}
+        counts = {g: int(np.sum(tags == g)) for g in axis_groups(spec.axis)}
         out = {g: c / n for g, c in counts.items() if c > 0}
     elif spec.variant in ("fixed", "homogeneous"):
         out = _normalized(spec.weights)
@@ -170,25 +170,24 @@ def continent_adjusted_weights() -> dict[str, float]:
     return {"EU": 1.0, "AM": 1.0, "OC": 1.0, "UN": 1.0, "AF": 3.0, "AS": 3.0}
 
 
-def country_adjusted_weights(taxonomy: GroupTaxonomy = DEFAULT_TAXONOMY) -> dict[str, float]:
+def country_adjusted_weights() -> dict[str, float]:
     """Country preset: weight 4 for every country in AF, AS, and AM except
     usa and canada; weight 1 elsewhere."""
     out = {}
-    for country in taxonomy.countries:
-        cont = taxonomy.continent_of(country)
+    for country in COUNTRIES:
+        cont = continent_of(country)
         boosted = cont in ("AF", "AS") or (cont == "AM" and country not in ("usa", "canada"))
         out[country] = 4.0 if boosted else 1.0
     return out
 
 
-def preset_weights(name: str, axis: str,
-                   taxonomy: GroupTaxonomy = DEFAULT_TAXONOMY) -> dict[str, float]:
+def preset_weights(name: str, axis: str) -> dict[str, float]:
     """Named weight presets for config files."""
     if name == "equal":
-        return equal_weights(taxonomy.groups(axis))
+        return equal_weights(axis_groups(axis))
     if name == "adjusted":
         if axis == "continent":
             return continent_adjusted_weights()
         if axis == "country":
-            return country_adjusted_weights(taxonomy)
+            return country_adjusted_weights()
     raise ValueError(f"unknown weight preset {name!r} for axis {axis!r}")

@@ -6,10 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from fairtriplet.core import (
     CONTINENTS,
-    DEFAULT_TAXONOMY,
+    COUNTRIES,
+    TAXONOMY_HASH,
     Dataset,
-    GroupTaxonomy,
     continent_of,
+    countries_in,
     cross_squared_distances,
     normalize,
     normalize_rows,
@@ -117,12 +118,11 @@ class TestSquaredDistance:
 
 class TestTaxonomy:
     def test_thirty_groups_partitioned(self):
-        tax = DEFAULT_TAXONOMY
-        assert len(tax.countries) == 30
-        buckets = {k: tax.countries_in(k) for k in CONTINENTS}
+        assert len(COUNTRIES) == 30
+        buckets = {k: countries_in(k) for k in CONTINENTS}
         assert sum(len(v) for v in buckets.values()) == 30
         flat = [c for v in buckets.values() for c in v]
-        assert sorted(flat) == sorted(tax.countries)
+        assert sorted(flat) == sorted(COUNTRIES)
 
     def test_known_mappings(self):
         assert continent_of("nigeria") == "AF"
@@ -137,13 +137,14 @@ class TestTaxonomy:
             continent_of("atlantis")
 
     def test_each_country_exactly_one_continent(self):
-        tax = DEFAULT_TAXONOMY
-        for country in tax.countries:
-            hits = [k for k in CONTINENTS if country in tax.countries_in(k)]
-            assert hits == [tax.continent_of(country)]
+        for country in COUNTRIES:
+            hits = [k for k in CONTINENTS if country in countries_in(k)]
+            assert hits == [continent_of(country)]
 
     def test_table_hash_stable(self):
-        assert DEFAULT_TAXONOMY.table_hash() == GroupTaxonomy().table_hash()
+        # Dataset files record this hash; a new value rejects every file
+        # written under the old table.
+        assert TAXONOMY_HASH == "627e1355494ffcc8"
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairtriplet.core import ConfigError, GroupTaxonomy
+from fairtriplet.core import TAXONOMY_HASH, ConfigError, savez_deterministic
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 from fairtriplet.dataio import (
     load_dataset,
@@ -35,14 +35,16 @@ class TestDatasetFile:
             assert int(z["format_version"]) == 1
             assert int(z["n_pairs"]) == len(dataset)
             assert int(z["input_dim"]) == dataset.input_dim
-            assert str(z["taxonomy_hash"]) == dataset.taxonomy.table_hash()
+            assert str(z["taxonomy_hash"]) == TAXONOMY_HASH
 
     def test_taxonomy_mismatch_rejected(self, dataset, tmp_path):
         path = tmp_path / "data.npz"
         save_dataset(path, dataset)
-        other = GroupTaxonomy(rows=tuple(dataset.taxonomy.rows[:-1]) + (("elsewhere", "UN"),))
+        with np.load(path) as z:
+            entries = {k: z[k] for k in z.files}
+        savez_deterministic(path, {**entries, "taxonomy_hash": np.str_("0123456789abcdef")})
         with pytest.raises(ConfigError):
-            load_dataset(path, taxonomy=other)
+            load_dataset(path)
 
 
 class TestEmbeddingExport:

@@ -218,12 +218,16 @@ class TestTrainingRuns:
         for k in outs_a:
             assert outs_a[k] == outs_b[k], k
 
-    def test_resume_equals_uninterrupted(self, tmp_path):
+    # Stop at a validation step, between validations, and at the end; the
+    # last case is `train --resume` on a finished run.
+    @pytest.mark.parametrize("stop_after", [3, 4, 6],
+                             ids=["validation-step", "between-validations", "finished"])
+    def test_resume_equals_uninterrupted(self, tmp_path, stop_after):
         cfg_full = tiny_config(tmp_path, "full")
         rec_full = run_training(cfg_full)
 
         cfg_part = tiny_config(tmp_path, "part")
-        run_training(cfg_part, stop_after=3)
+        run_training(cfg_part, stop_after=stop_after)
         rec_resumed = run_training(
             cfg_part, resume_from=latest_checkpoint(cfg_part.output_dir)
         )
@@ -231,7 +235,7 @@ class TestTrainingRuns:
         assert rec_resumed.final_step == rec_full.final_step
         m_full = json.loads((Path(cfg_full.output_dir) / "metrics.json").read_text())
         m_part = json.loads((Path(cfg_part.output_dir) / "metrics.json").read_text())
-        assert m_full["epochs"] == m_part["epochs"]
+        assert m_part == m_full
 
     def test_resume_rejects_changed_config(self, tmp_path):
         cfg = tiny_config(tmp_path, "orig")

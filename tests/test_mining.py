@@ -145,10 +145,11 @@ class TestAssembleBatch:
             batch = assemble_batch(dataset, spec, 64, np.random.default_rng(seed))
             assert len(set(batch.groups.tolist())) == 1
 
-    def test_positive_weight_empty_group_rejected(self, dataset):
+    @pytest.mark.parametrize("variant", ["fixed", "homogeneous"])
+    def test_positive_weight_empty_group_rejected(self, dataset, variant):
         idx = np.flatnonzero(dataset.continents != "AF")
         no_af = dataset.subset(idx)
-        spec = SamplerSpec("fixed", axis="continent", weights={"EU": 1.0, "AF": 1.0})
+        spec = SamplerSpec(variant, axis="continent", weights={"EU": 1.0, "AF": 1.0})
         with pytest.raises(ValueError, match="AF"):
             assemble_batch(no_af, spec, 16, np.random.default_rng(2))
 
