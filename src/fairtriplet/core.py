@@ -147,8 +147,10 @@ def cross_squared_distances(a: np.ndarray, b: np.ndarray,
 
     Uses the expansion ||a||^2 + ||b||^2 - 2<a,b>, clipped at zero. This is
     the canonical distance kernel for every batch computation in the toolkit
-    (mining, FAR/FRR counting, calibration), so thresholds taken from one
-    computation are exactly comparable in another.
+    (mining, FAR counting, calibration). A threshold taken from one
+    computation compares exactly in another only when both use the same
+    shape of ``a``: BLAS can round a cell of a taller or shorter product
+    differently, which is why evaluation fixes its row tiles.
 
     A caller that pairs many row blocks of ``a`` with one ``b`` passes
     ``b_norms = squared_norms(b)`` once instead of having it recomputed per
@@ -204,7 +206,7 @@ def savez_deterministic(path, arrays: dict) -> None:
 def assert_unit_rows(x: np.ndarray, tol: float = 1e-6, what: str = "embeddings") -> None:
     norms = np.linalg.norm(np.asarray(x, dtype=np.float64), axis=-1)
     err = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if err > tol:
+    if not err <= tol:  # a NaN or inf row makes err NaN or inf
         raise ValueError(f"{what} are not unit-norm (max |norm-1| = {err:.3g})")
 
 

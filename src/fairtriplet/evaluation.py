@@ -9,12 +9,15 @@ Conventions, fixed across the whole toolkit and its file formats:
   ids differ -- same-identity pairs are excluded even at different indices,
   which handles duplicated identities;
 * all rates are ratios of exact integer counts;
-* distances come from :func:`fairtriplet.core.cross_squared_distances`, so a
-  threshold calibrated here compares exactly against distances computed
-  anywhere else in the toolkit.
+* distances come from :func:`fairtriplet.core.cross_squared_distances` in
+  fixed 128-row selfie tiles (``_tile_windows``), and ``far_counts`` decides
+  on the products of the same tiles, so a threshold calibrated here counts
+  exactly there.
 """
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -103,27 +106,79 @@ def frr(eval_set: EvalSet, theta: float) -> float:
     return rejected / total
 
 
-def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
-    """Yield ``(lo, d)`` for consecutive selfie-row tiles, with ``d[i - lo, j]``
-    the squared distance of selfie i and doc j. ``d`` is a view of one buffer
-    that the next tile overwrites.
+def _tile_windows(n: int):
+    """Yield ``(lo, rows)`` for consecutive selfie-row tiles: ``rows`` is the
+    slice of selfies whose product the tile computes, and the rows from ``lo``
+    on are the tile's own.
 
-    Every product has min(_TILE_ROWS, n) rows: the last tile is the
-    full-height window ending at the last selfie, of which only the rows not
-    yet yielded are handed out. BLAS picks its kernel by the shape of the
-    product (a one-row product goes through a matrix-vector routine), so a
-    short last tile could round differently from the rows above it.
+    Every slice has min(_TILE_ROWS, n) rows, so the last one is the window
+    ending at the last selfie and overlaps the tile before it. BLAS picks its
+    kernel by the shape of the product (a one-row product goes through a
+    matrix-vector routine), so a short last tile could round differently
+    from the rows above it.
     """
-    doc_emb = np.asarray(doc_emb, dtype=np.float64)
-    n = len(selfie_emb)
     height = min(_TILE_ROWS, n)
-    buf = np.empty((height, len(doc_emb)))
-    doc_norms = squared_norms(doc_emb)
     for lo in range(0, n, _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, n)
-        d = cross_squared_distances(selfie_emb[hi - height:hi], doc_emb,
+        yield lo, slice(hi - height, hi)
+
+
+def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
+    """Yield ``(lo, d)`` per tile of ``_tile_windows``, with ``d[i - lo, j]``
+    the squared distance of selfie i and doc j. ``d`` is a view of one buffer
+    that the next tile overwrites."""
+    doc_emb = np.asarray(doc_emb, dtype=np.float64)
+    buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)))
+    doc_norms = squared_norms(doc_emb)
+    for lo, rows in _tile_windows(len(selfie_emb)):
+        d = cross_squared_distances(selfie_emb[rows], doc_emb,
                                     b_norms=doc_norms, out=buf)
-        yield lo, d[lo - (hi - height):]
+        yield lo, d[lo - rows.start:]
+
+
+def _cell_distance(g: float, na: float, nb: float) -> float:
+    """The kernel's arithmetic for one cell of product ``g`` and squared norms
+    ``na``, ``nb``: ``max(fl(fl(na - 2g) + nb), 0)``. Python floats round as
+    numpy's float64 ufuncs do."""
+    return max(na - 2.0 * g + nb, 0.0)
+
+
+def _cell_distances(g: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """``_cell_distance`` on gathered cells, in the kernel's operation order."""
+    d = g * -2.0
+    d += na
+    d += nb
+    return np.maximum(d, 0.0, out=d)
+
+
+# Ordered keys of the doubles: the key order is the float order, -0.0 and
+# +0.0 share key 0, and -inf and +inf sit one key beyond the finite range.
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_INF_KEY = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
+
+
+def _float_of_key(key: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else -key | 1 << 63))[0]
+
+
+def _product_cut(theta: float, na: float, nb: float) -> float:
+    """Largest finite product ``g`` whose ``_cell_distance(g, na, nb)`` is
+    still >= theta, or -inf when there is none.
+
+    The distance never increases as ``g`` grows (round-to-nearest addition is
+    monotone), so at these norms every product above the cut is accepted and
+    every product at or below it is rejected. Bisects over the keys of the
+    finite doubles: at most 64 steps, one distance each.
+    """
+    lo, hi = -_INF_KEY, _INF_KEY  # d(-inf) >= theta, d(+inf) = 0 < theta
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cell_distance(_float_of_key(mid), na, nb) >= theta:
+            lo = mid
+        else:
+            hi = mid
+    return _float_of_key(lo)
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -131,21 +186,53 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
                theta: float) -> tuple[int, int]:
     """(accepted impostor comparisons, impostor comparisons) at theta.
 
-    Streams the distances through row tiles (see ``_distance_tiles``) and
-    counts each tile's accepted cells, less those of its same-identity
-    cells, which are found once per call from a sort of the doc ids.
+    Decides each cell on the raw product ``g = selfie . doc`` of the row tiles
+    of ``_tile_windows``, without forming its distance. The distance never
+    decreases as a norm grows, so the cut of ``_product_cut`` at the largest
+    norms (``sure``) accepts every cell above it and the cut at the smallest
+    norms (``maybe``) rejects every cell at or below it. Only the cells in
+    between, and the same-identity cells (found once per call from a sort of
+    the doc ids) that are taken out of the count, get the kernel's arithmetic
+    on their own product and norms. Tiles keep their shapes, so every
+    product, and with it every decision, is that of the distance tiles.
     """
     same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
     comparisons = len(selfie_emb) * len(doc_emb) - same_rows.size
     if comparisons == 0:
         raise ValueError("no impostor comparisons available")
+    if not theta > 0:
+        return 0, comparisons  # no distance is below theta <= 0 (or NaN)
+    selfie_emb = np.asarray(selfie_emb, dtype=np.float64)
+    doc_emb = np.asarray(doc_emb, dtype=np.float64)
+    na = squared_norms(selfie_emb)
+    nb = squared_norms(doc_emb)
+    if not (np.isfinite(na).all() and np.isfinite(nb).all()):
+        raise ValueError("embeddings must be finite")
+    sure = _product_cut(theta, float(na.max()), float(nb.max()))
+    maybe = _product_cut(theta, float(na.min()), float(nb.min()))
+    height = min(_TILE_ROWS, len(selfie_emb))
+    buf = np.empty((height, len(doc_emb)))
+    maybe_buf = np.empty((height, len(doc_emb)), dtype=bool)
+    sure_buf = np.empty_like(maybe_buf)
     accepted = 0
-    acc_buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)), dtype=bool)
-    for lo, d in _distance_tiles(selfie_emb, doc_emb):
-        acc = np.less(d, theta, out=acc_buf[:len(d)])
-        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
-        accepted += (int(np.count_nonzero(acc))
-                     - int(np.count_nonzero(acc[same_rows[a:b] - lo, same_cols[a:b]])))
+    for lo, rows in _tile_windows(len(selfie_emb)):
+        g = np.matmul(selfie_emb[rows], doc_emb.T, out=buf)[lo - rows.start:]
+        maybe_mask = np.greater(g, maybe, out=maybe_buf[:len(g)])
+        n_maybe = int(np.count_nonzero(maybe_mask))
+        if n_maybe == 0:
+            continue  # every cell of the tile is rejected
+        sure_mask = np.greater(g, sure, out=sure_buf[:len(g)])
+        n_sure = int(np.count_nonzero(sure_mask))
+        accepted += n_sure
+        if n_maybe > n_sure:
+            band = np.not_equal(maybe_mask, sure_mask, out=maybe_mask)
+            r, c = np.divmod(np.flatnonzero(band), len(doc_emb))
+            d = _cell_distances(g[r, c], na[lo + r], nb[c])
+            accepted += int(np.count_nonzero(d < theta))
+        a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
+        r, c = same_rows[a:b], same_cols[a:b]
+        d = _cell_distances(g[r - lo, c], na[r], nb[c])
+        accepted -= int(np.count_nonzero(d < theta))
     return accepted, comparisons
 
 

@@ -9,6 +9,7 @@ from fairtriplet.core import (
     COUNTRIES,
     TAXONOMY_HASH,
     Dataset,
+    assert_unit_rows,
     continent_of,
     countries_in,
     cross_squared_distances,
@@ -114,6 +115,36 @@ class TestSquaredDistance:
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         empty = same_identity_pairs(a_ids, np.array([99, 100]))
         assert empty[0].size == empty[1].size == 0
+
+
+    def test_norms_of_a_row_window_equal_its_slice(self):
+        # far_counts takes each tile's selfie norms from one call over the set.
+        rng = np.random.default_rng(3)
+        for n, dim in ((1, 8), (129, 8), (513, 32), (1000, 32)):
+            x = normalize_rows(rng.normal(size=(n, dim)))
+            whole = squared_norms(x)
+            height = min(128, n)
+            for stop in range(height, n + 1, 7):
+                window = slice(stop - height, stop)
+                assert squared_norms(x[window]).tobytes() == whole[window].tobytes()
+
+
+class TestAssertUnitRows:
+    def test_unit_rows_pass(self):
+        assert_unit_rows(normalize_rows(np.random.default_rng(4).normal(size=(5, 3))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        x = normalize_rows(np.random.default_rng(5).normal(size=(5, 3)))
+        x[1, 0] = bad
+        with pytest.raises(ValueError):
+            assert_unit_rows(x)
+
+    def test_off_unit_row_rejected(self):
+        x = normalize_rows(np.random.default_rng(6).normal(size=(5, 3)))
+        x[2] *= 1.001
+        with pytest.raises(ValueError):
+            assert_unit_rows(x)
 
 
 class TestTaxonomy:

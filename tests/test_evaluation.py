@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtriplet import evaluation
-from fairtriplet.core import ResolutionError, cross_squared_distances, normalize_rows
+from fairtriplet.core import (
+    ResolutionError,
+    cross_squared_distances,
+    normalize_rows,
+    same_identity_pairs,
+    squared_norms,
+)
 from fairtriplet.evaluation import (
     EvalSet,
     RocCurve,
@@ -257,6 +263,118 @@ class TestTiledFarCounts:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+def scale_rows_off_unit(rng, x, fraction=0.4, max_ulps=3):
+    """Scale a random share of the rows by a few ulp up or down from 1."""
+    x = x.copy()
+    for i in rng.choice(len(x), size=int(len(x) * fraction), replace=False):
+        scale = 1.0
+        for _ in range(int(rng.integers(1, max_ulps + 1))):
+            scale = np.nextafter(scale, rng.choice([-np.inf, np.inf]))
+        x[i] *= scale
+    return x
+
+
+def tie_heavy_sets(n_selfies, n_docs, dim, n_dirs, seed):
+    """Selfie and doc rows drawn from a few shared directions, so that many
+    cells tie, with some rows a few ulp off unit norm and ids repeating within
+    and across the two sides."""
+    rng = np.random.default_rng(seed)
+    dirs = normalize_rows(rng.normal(size=(n_dirs, dim)))
+    selfie = scale_rows_off_unit(rng, dirs[rng.integers(0, n_dirs, n_selfies)])
+    doc = scale_rows_off_unit(rng, dirs[rng.integers(0, n_dirs, n_docs)])
+    n_ids = n_selfies // 2
+    return selfie, rng.integers(0, n_ids, n_selfies), doc, rng.integers(0, n_ids, n_docs)
+
+
+def distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids, theta):
+    """The counting path that decides on the distance tiles themselves:
+    ``np.less`` on every cell of each tile, less its same-identity cells."""
+    rows, cols = same_identity_pairs(selfie_ids, doc_ids)
+    accepted = 0
+    for lo, d in evaluation._distance_tiles(selfie, doc):
+        acc = np.less(d, theta)
+        a, b = np.searchsorted(rows, (lo, lo + len(d)))
+        accepted += int(np.count_nonzero(acc)) - int(np.count_nonzero(acc[rows[a:b] - lo, cols[a:b]]))
+    return accepted, len(selfie) * len(doc) - rows.size
+
+
+def distance_tile_impostor_values(selfie, selfie_ids, doc, doc_ids):
+    """Every impostor cell of the distance tiles, sorted, with a dense id
+    mask per tile: the count below theta is ``distance_tile_far_counts``."""
+    values = [d[selfie_ids[lo:lo + len(d), None] != doc_ids[None, :]]
+              for lo, d in evaluation._distance_tiles(selfie, doc)]
+    return np.sort(np.concatenate(values))
+
+
+class TestProductCuts:
+    @pytest.mark.parametrize("n_selfies, n_docs, dim, n_dirs",
+                             [(513, 300, 8, 45), (129, 60, 32, 30)])
+    def test_every_tie_counts_as_on_the_distance_tiles(self, n_selfies, n_docs, dim, n_dirs):
+        selfie, selfie_ids, doc, doc_ids = tie_heavy_sets(n_selfies, n_docs, dim, n_dirs,
+                                                          seed=n_selfies)
+        assert len(np.unique(squared_norms(selfie))) > 1  # so the two cuts differ
+        impostor = distance_tile_impostor_values(selfie, selfie_ids, doc, doc_ids)
+        top = impostor[-1]
+        thetas = np.array([*np.unique(impostor), 0.0, -1.0, 1e-300,
+                           np.nextafter(top, np.inf), top + 1.0])
+        want = np.searchsorted(impostor, thetas, side="left")
+        for k in range(0, len(thetas), len(thetas) // 25):
+            assert distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids,
+                                            thetas[k]) == (want[k], impostor.size)
+        for theta, accepted in zip(thetas.tolist(), want.tolist()):
+            got = far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+            assert got == (accepted, impostor.size), theta
+        assert want[-1] == impostor.size and want[-2] == impostor.size
+        assert far_counts(selfie, selfie_ids, doc, doc_ids, top)[0] < impostor.size
+
+    def test_cut_is_the_last_product_at_or_above_theta(self, monkeypatch):
+        calls = []
+
+        def counting(g, na, nb):
+            calls.append(g)
+            return distance(g, na, nb)
+
+        distance = evaluation._cell_distance
+        monkeypatch.setattr(evaluation, "_cell_distance", counting)
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        cases = [
+            (1.0, 1.0, 2.0),             # theta = na + nb: the root sits at g = 0
+            (up, down, up + down),
+            (1.0, 1.0, np.nextafter(2.0, 3.0)),  # just below g = 0
+            (1.0, 1.0, 1e-300),
+            (up, up, 0.5),
+            (down, down, 3.999),
+            (1.0, 1.0, 4.0),
+            (1.0, 1.0, 10.0),            # above every distance of unit rows
+        ]
+        for na, nb, theta in cases:
+            calls.clear()
+            cut = evaluation._product_cut(theta, na, nb)
+            assert len(calls) <= 64, (na, nb, theta)
+            assert np.isfinite(cut)
+            assert distance(cut, na, nb) >= theta
+            assert distance(float(np.nextafter(cut, np.inf)), na, nb) < theta
+        assert evaluation._product_cut(2.0, 1.0, 1.0) >= 0.0
+        assert evaluation._product_cut(float(np.nextafter(2.0, 3.0)), 1.0, 1.0) < 0.0
+        keys = [evaluation._float_of_key(k) for k in (-1, 0, 1)]
+        assert keys == [-5e-324, 0.0, 5e-324] and np.signbit(keys[1]) == 0
+        assert evaluation._float_of_key(evaluation._INF_KEY) == np.inf
+        assert evaluation._float_of_key(-evaluation._INF_KEY) == -np.inf
+
+    def test_non_finite_embeddings_rejected(self):
+        rng = np.random.default_rng(26)
+        selfie = normalize_rows(rng.normal(size=(10, 4)))
+        doc = normalize_rows(rng.normal(size=(10, 4)))
+        ids = np.arange(10)
+        for bad in (np.nan, np.inf):
+            broken = doc.copy()
+            broken[3, 1] = bad
+            with pytest.raises(ValueError):
+                far_counts(selfie, ids, broken, ids, 1.0)
+            with pytest.raises(ValueError):
+                make_eval_set(rng, 10, dim=4, selfie=selfie, doc=broken)
 
 
 class TestCalibration:
