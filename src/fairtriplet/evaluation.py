@@ -13,14 +13,22 @@ Conventions, fixed across the whole toolkit and its file formats:
   fixed 128-row selfie tiles (``_tile_windows``), and ``far_counts`` decides
   on the products of the same tiles, so a threshold calibrated here counts
   exactly there.
+
+``far_matrix`` prepares each pool's two sides once and counts its selfie
+pools (matrix rows) on up to one thread per core that BLAS leaves free
+(``_matrix_workers``). Every cell is an integer count on the same tiles
+whichever thread computes it, so the matrix does not depend on the thread
+count.
 """
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, lru_cache
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -162,6 +170,7 @@ def _float_of_key(key: int) -> float:
     return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else -key | 1 << 63))[0]
 
 
+@lru_cache(maxsize=4096)
 def _product_cut(theta: float, na: float, nb: float) -> float:
     """Largest finite product ``g`` whose ``_cell_distance(g, na, nb)`` is
     still >= theta, or -inf when there is none.
@@ -169,7 +178,9 @@ def _product_cut(theta: float, na: float, nb: float) -> float:
     The distance never increases as ``g`` grows (round-to-nearest addition is
     monotone), so at these norms every product above the cut is accepted and
     every product at or below it is rejected. Bisects over the keys of the
-    finite doubles: at most 64 steps, one distance each.
+    finite doubles: at most 64 steps, one distance each. Memoised: unit rows
+    give few distinct extreme norms, so the calls of one threshold repeat the
+    same few keys.
     """
     lo, hi = -_INF_KEY, _INF_KEY  # d(-inf) >= theta, d(+inf) = 0 < theta
     while hi - lo > 1:
@@ -179,6 +190,20 @@ def _product_cut(theta: float, na: float, nb: float) -> float:
         else:
             hi = mid
     return _float_of_key(lo)
+
+
+class _Side(NamedTuple):
+    """One side of a comparison, prepared for counting: float64 rows, their
+    identity ids and their squared norms."""
+
+    emb: np.ndarray
+    ids: np.ndarray
+    norms: np.ndarray
+
+
+def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
+    emb = np.asarray(emb, dtype=np.float64)
+    return _Side(emb, ids, squared_norms(emb))
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -196,27 +221,30 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     on their own product and norms. Tiles keep their shapes, so every
     product, and with it every decision, is that of the distance tiles.
     """
-    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
-    comparisons = len(selfie_emb) * len(doc_emb) - same_rows.size
+    return _count_far(_side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids), theta)
+
+
+def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
+    """``far_counts`` on prepared sides. Allocates its own tile buffers, so
+    calls on different threads share nothing they write."""
+    same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids)
+    comparisons = len(selfie.emb) * len(doc.emb) - same_rows.size
     if comparisons == 0:
         raise ValueError("no impostor comparisons available")
     if not theta > 0:
         return 0, comparisons  # no distance is below theta <= 0 (or NaN)
-    selfie_emb = np.asarray(selfie_emb, dtype=np.float64)
-    doc_emb = np.asarray(doc_emb, dtype=np.float64)
-    na = squared_norms(selfie_emb)
-    nb = squared_norms(doc_emb)
+    na, nb = selfie.norms, doc.norms
     if not (np.isfinite(na).all() and np.isfinite(nb).all()):
         raise ValueError("embeddings must be finite")
     sure = _product_cut(theta, float(na.max()), float(nb.max()))
     maybe = _product_cut(theta, float(na.min()), float(nb.min()))
-    height = min(_TILE_ROWS, len(selfie_emb))
-    buf = np.empty((height, len(doc_emb)))
-    maybe_buf = np.empty((height, len(doc_emb)), dtype=bool)
+    height = min(_TILE_ROWS, len(selfie.emb))
+    buf = np.empty((height, len(doc.emb)))
+    maybe_buf = np.empty((height, len(doc.emb)), dtype=bool)
     sure_buf = np.empty_like(maybe_buf)
     accepted = 0
-    for lo, rows in _tile_windows(len(selfie_emb)):
-        g = np.matmul(selfie_emb[rows], doc_emb.T, out=buf)[lo - rows.start:]
+    for lo, rows in _tile_windows(len(selfie.emb)):
+        g = np.matmul(selfie.emb[rows], doc.emb.T, out=buf)[lo - rows.start:]
         maybe_mask = np.greater(g, maybe, out=maybe_buf[:len(g)])
         n_maybe = int(np.count_nonzero(maybe_mask))
         if n_maybe == 0:
@@ -226,7 +254,7 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
         accepted += n_sure
         if n_maybe > n_sure:
             band = np.not_equal(maybe_mask, sure_mask, out=maybe_mask)
-            r, c = np.divmod(np.flatnonzero(band), len(doc_emb))
+            r, c = np.divmod(np.flatnonzero(band), len(doc.emb))
             d = _cell_distances(g[r, c], na[lo + r], nb[c])
             accepted += int(np.count_nonzero(d < theta))
         a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
@@ -316,18 +344,48 @@ class FarMatrix:
         return float(self.values[self.groups.index(g), self.groups.index(h)])
 
 
+def _matrix_workers(n_pools: int) -> int:
+    """Threads for ``far_matrix``: ``min(n_pools, usable cores // BLAS
+    threads)``, at least one. The BLAS thread count is read as OpenBLAS reads
+    it, from ``OPENBLAS_NUM_THREADS`` and then ``OMP_NUM_THREADS``; when
+    neither holds a positive count, BLAS spreads each product over every core,
+    and Python threads on top of it only contend."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, min(n_pools, cores // blas))
+
+
 def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continent") -> FarMatrix:
     groups = tuple(pools)
     k = len(groups)
+    selfies = [_side(pools[g].selfie_emb, pools[g].identity_ids) for g in groups]
+    docs = [_side(pools[g].doc_emb, pools[g].identity_ids) for g in groups]
+
+    def row(i: int) -> list[tuple[int, int]]:
+        return [_count_far(selfies[i], doc, theta) for doc in docs]
+
+    workers = _matrix_workers(k)
+    if workers == 1:
+        rows = [row(i) for i in range(k)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, range(k)))
     values = np.zeros((k, k))
     accepted = np.zeros((k, k), dtype=np.int64)
     comparisons = np.zeros((k, k), dtype=np.int64)
-    for i, g in enumerate(groups):
-        for j, h in enumerate(groups):
-            a, c = far_counts(
-                pools[g].selfie_emb, pools[g].identity_ids,
-                pools[h].doc_emb, pools[h].identity_ids, theta,
-            )
+    for i, cells in enumerate(rows):
+        for j, (a, c) in enumerate(cells):
             values[i, j] = a / c
             accepted[i, j] = a
             comparisons[i, j] = c

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -349,10 +350,13 @@ class TestProductCuts:
             (1.0, 1.0, 4.0),
             (1.0, 1.0, 10.0),            # above every distance of unit rows
         ]
+        evaluation._product_cut.cache_clear()
         for na, nb, theta in cases:
             calls.clear()
-            cut = evaluation._product_cut(theta, na, nb)
+            cut = evaluation._product_cut.__wrapped__(theta, na, nb)  # uncached
             assert len(calls) <= 64, (na, nb, theta)
+            for _ in range(2):  # a miss, then a hit
+                assert evaluation._product_cut(theta, na, nb) == cut
             assert np.isfinite(cut)
             assert distance(cut, na, nb) >= theta
             assert distance(float(np.nextafter(cut, np.inf)), na, nb) < theta
@@ -463,6 +467,125 @@ class TestFarMatrix:
             n = m // 2 * (m // 2 - 1)
             sigma = np.sqrt(max(pooled * (1 - pooled) / n, 1e-12))
             assert abs(v - pooled) <= 4 * sigma
+
+
+def unequal_pools(rng, sizes=(2, 127, 129, 300), dim=8):
+    """Pools of the given sizes whose ids repeat within and across pools. (A
+    one-pair pool has no impostor comparison in its diagonal cell.)"""
+    pools = {}
+    for k, m in enumerate(sizes):
+        pools[f"g{k}"] = make_eval_set(rng, m, dim=dim, ids=rng.integers(0, 100, m))
+    return pools
+
+
+def per_cell_far_counts(pools, theta):
+    """The matrix as per-cell ``far_counts`` calls: (values, accepted, comparisons)."""
+    k = len(pools)
+    values = np.zeros((k, k))
+    accepted = np.zeros((k, k), dtype=np.int64)
+    comparisons = np.zeros((k, k), dtype=np.int64)
+    for i, g in enumerate(pools.values()):
+        for j, h in enumerate(pools.values()):
+            a, c = far_counts(g.selfie_emb, g.identity_ids, h.doc_emb, h.identity_ids, theta)
+            values[i, j], accepted[i, j], comparisons[i, j] = a / c, a, c
+    return values, accepted, comparisons
+
+
+class TestThreadedFarMatrix:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_per_cell_far_counts_bit_for_bit(self, monkeypatch, workers):
+        pools = unequal_pools(np.random.default_rng(31))
+        big = pools["g3"]
+        tile = cross_squared_distances(big.selfie_emb, big.doc_emb)
+        thetas = [float(np.quantile(tile, 0.3)), *tile[-1, ::50].tolist(), 0.0, 4.1]
+        threads = []
+
+        def counting(*args):
+            threads.append(threading.get_ident())
+            return count(*args)
+
+        count = evaluation._count_far
+        monkeypatch.setattr(evaluation, "_count_far", counting)
+        monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, workers))
+        main = threading.get_ident()
+        for theta in thetas:
+            threads.clear()
+            matrix = far_matrix(pools, theta)
+            assert len(threads) == len(pools) ** 2
+            if workers == 1:
+                assert set(threads) == {main}
+            else:
+                assert main not in threads and len(set(threads)) <= workers
+            values, accepted, comparisons = per_cell_far_counts(pools, theta)
+            assert matrix.values.tobytes() == values.tobytes(), theta
+            assert np.array_equal(matrix.accepted, accepted)
+            assert np.array_equal(matrix.comparisons, comparisons)
+            assert matrix.groups == tuple(pools)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_errors_are_those_of_far_counts(self, monkeypatch, workers):
+        monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, workers))
+        rng = np.random.default_rng(32)
+        # The one-pair pool g1 compares its selfie only with its own doc.
+        pools = unequal_pools(rng, sizes=(40, 1, 129))
+        with pytest.raises(ValueError) as want:
+            far_counts(pools["g1"].selfie_emb, pools["g1"].identity_ids,
+                       pools["g1"].doc_emb, pools["g1"].identity_ids, 1.0)
+        with pytest.raises(ValueError) as got:
+            far_matrix(pools, 1.0)
+        assert str(got.value) == str(want.value) == "no impostor comparisons available"
+
+        pools = unequal_pools(rng, sizes=(30, 129, 40))
+        pools["g1"].doc_emb[100, 3] = np.nan
+        with pytest.raises(ValueError) as want:
+            far_counts(pools["g0"].selfie_emb, pools["g0"].identity_ids,
+                       pools["g1"].doc_emb, pools["g1"].identity_ids, 1.0)
+        with pytest.raises(ValueError) as got:
+            far_matrix(pools, 1.0)
+        assert str(got.value) == str(want.value) == "embeddings must be finite"
+
+    @pytest.mark.parametrize("cores, openblas, omp, want", [
+        (2, None, None, 1),   # unpinned BLAS spreads each product over every core
+        (2, "1", None, 2),
+        (2, "2", None, 1),
+        (2, None, "1", 2),    # OpenBLAS falls back to OMP_NUM_THREADS
+        (2, "2", "1", 1),     # OPENBLAS_NUM_THREADS wins
+        (4, "2", None, 2),
+        (8, "1", None, 5),    # never more than one thread per pool
+        (1, "1", None, 1),
+        (2, "0", None, 1),    # not a thread count: BLAS uses every core
+        (2, "x", None, 1),
+    ])
+    def test_worker_count_rule(self, monkeypatch, cores, openblas, omp, want):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert evaluation._matrix_workers(5) == want
+
+    @pytest.mark.parametrize("openblas, pools_started", [(None, []), ("1", [2])])
+    def test_far_matrix_starts_threads_by_the_rule(self, monkeypatch, openblas, pools_started):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if openblas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        started = []
+
+        class Recording(evaluation.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+        pools = unequal_pools(np.random.default_rng(33), sizes=(20, 30, 40))
+        far_matrix(pools, 1.0)
+        assert started == pools_started
 
 
 class TestRoc:

@@ -364,15 +364,24 @@ class TestEval:
         did = ids[domains == "doc"]
         theta = rep["theta"]
         # Canonical distance kernel (same operation order as the toolkit, so
-        # the grid threshold compares exactly); counting logic independent.
-        d = selfies @ docs.T
-        d *= -2.0
-        d += np.einsum("ij,ij->i", selfies, selfies)[:, None]
-        d += np.einsum("ij,ij->i", docs, docs)[None, :]
-        np.maximum(d, 0.0, out=d)
-        impostor = sid[:, None] != did[None, :]
-        accepted = int(np.count_nonzero((d < theta) & impostor))
-        comparisons = int(np.count_nonzero(impostor))
+        # the grid threshold compares exactly) in the README's 128-row
+        # windows, the last one ending at the last selfie: one dense product
+        # can round a cell differently. Counting logic independent.
+        doc_sq = np.einsum("ij,ij->i", docs, docs)
+        height = min(128, len(selfies))
+        accepted = 0
+        for start in range(0, len(selfies), 128):
+            stop = min(start + 128, len(selfies))
+            window = selfies[stop - height:stop]
+            d = window @ docs.T
+            d *= -2.0
+            d += np.einsum("ij,ij->i", window, window)[:, None]
+            d += doc_sq[None, :]
+            np.maximum(d, 0.0, out=d)
+            own = d[start - (stop - height):]
+            impostor = sid[start:stop, None] != did[None, :]
+            accepted += int(np.count_nonzero((own < theta) & impostor))
+        comparisons = int(np.count_nonzero(sid[:, None] != did[None, :]))
         assert accepted == rep["overall"]["far_accepted"]
         assert comparisons == rep["overall"]["far_comparisons"]
 

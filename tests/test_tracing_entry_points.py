@@ -1,11 +1,49 @@
 """The benchmark's traced runs wrap program functions by module and name
 (perfbench/tracing.py). A refactor that moves or renames one of them would
-silently drop its layer from traced runs; this test fails instead."""
+silently drop its layer from traced runs; this test fails instead. The tracer
+keeps one span stack, so the program must call no wrapped function from a
+worker thread; the traced eval below fails if it does."""
 from pathlib import Path
+
+from fairtriplet import evaluation
+from fairtriplet.config import EvalConfig, ExperimentConfig, SamplerConfig
+from fairtriplet.datagen import GeneratorConfig
+from fairtriplet.harness import latest_checkpoint, run_eval, run_training
+from fairtriplet.model import TrainingConfig
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
 def test_every_traced_entry_point_exists(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(PERFBENCH)
     from tracing import absent_entry_points
 
     assert absent_entry_points() == []
+
+
+def test_threaded_far_matrix_keeps_traced_spans_nested(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from analysis import children_index, descendants, nesting_problems
+    from tracing import Tracer, traced
+
+    cfg = ExperimentConfig(
+        seed=5,
+        output_dir=str(tmp_path / "run"),
+        data=GeneratorConfig(n_pairs=1500, input_dim=16),
+        training=TrainingConfig(total_steps=3, batch_n=128, minibatch_size=32,
+                                hidden_dims=(16,), embed_dim=8),
+        sampler=SamplerConfig(variant="natural", axis="country"),
+        eval=EvalConfig(target_far=1e-2, n_eval_pairs=300, group_pool_size=40,
+                        matrix_axis="country", validation_every=3, roc_points=12),
+    )
+    run_training(cfg)
+    # Two matrix threads whatever the host's cores and BLAS setting.
+    monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, 2))
+    tracer = Tracer()
+    with traced(tracer):
+        run_eval(cfg, latest_checkpoint(cfg.output_dir))
+    spans = tracer.spans
+    assert nesting_problems(spans) == []
+    matrix = [i for i, s in enumerate(spans) if s.name == "evaluation.far_matrix"]
+    assert len(matrix) == 1
+    assert list(descendants(children_index(spans), matrix[0])) == []
