@@ -346,16 +346,18 @@ class FarMatrix:
 
 def _matrix_workers(n_pools: int) -> int:
     """Threads for ``far_matrix``: ``min(n_pools, usable cores // BLAS
-    threads)``, at least one. The BLAS thread count is read as OpenBLAS reads
-    it, from ``OPENBLAS_NUM_THREADS`` and then ``OMP_NUM_THREADS``; when
-    neither holds a positive count, BLAS spreads each product over every core,
-    and Python threads on top of it only contend."""
+    threads)``, at least one. The BLAS thread count is read in OpenBLAS's
+    order, from ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and then
+    ``OMP_NUM_THREADS``; when none holds a positive count, BLAS spreads each
+    product over every core, and Python threads on top of it only contend.
+    OpenBLAS reads these variables once, when numpy loads it, so the rule
+    holds only if they were set before that and not changed since."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
     blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             n = int(os.environ.get(var, ""))
         except ValueError:
@@ -375,12 +377,8 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
     def row(i: int) -> list[tuple[int, int]]:
         return [_count_far(selfies[i], doc, theta) for doc in docs]
 
-    workers = _matrix_workers(k)
-    if workers == 1:
-        rows = [row(i) for i in range(k)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(k)))
+    with ThreadPoolExecutor(max_workers=_matrix_workers(k)) as pool:
+        rows = list(pool.map(row, range(k)))
     values = np.zeros((k, k))
     accepted = np.zeros((k, k), dtype=np.int64)
     comparisons = np.zeros((k, k), dtype=np.int64)

@@ -507,15 +507,11 @@ class TestThreadedFarMatrix:
         count = evaluation._count_far
         monkeypatch.setattr(evaluation, "_count_far", counting)
         monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, workers))
-        main = threading.get_ident()
         for theta in thetas:
             threads.clear()
             matrix = far_matrix(pools, theta)
             assert len(threads) == len(pools) ** 2
-            if workers == 1:
-                assert set(threads) == {main}
-            else:
-                assert main not in threads and len(set(threads)) <= workers
+            assert len(set(threads)) <= workers
             values, accepted, comparisons = per_cell_far_counts(pools, theta)
             assert matrix.values.tobytes() == values.tobytes(), theta
             assert np.array_equal(matrix.accepted, accepted)
@@ -544,32 +540,37 @@ class TestThreadedFarMatrix:
             far_matrix(pools, 1.0)
         assert str(got.value) == str(want.value) == "embeddings must be finite"
 
-    @pytest.mark.parametrize("cores, openblas, omp, want", [
-        (2, None, None, 1),   # unpinned BLAS spreads each product over every core
-        (2, "1", None, 2),
-        (2, "2", None, 1),
-        (2, None, "1", 2),    # OpenBLAS falls back to OMP_NUM_THREADS
-        (2, "2", "1", 1),     # OPENBLAS_NUM_THREADS wins
-        (4, "2", None, 2),
-        (8, "1", None, 5),    # never more than one thread per pool
-        (1, "1", None, 1),
-        (2, "0", None, 1),    # not a thread count: BLAS uses every core
-        (2, "x", None, 1),
+    @pytest.mark.parametrize("cores, openblas, goto, omp, want", [
+        (2, None, None, None, 1),   # unpinned BLAS spreads each product over every core
+        (2, "1", None, None, 2),
+        (2, "2", None, None, 1),
+        (2, None, None, "1", 2),    # OpenBLAS falls back to OMP_NUM_THREADS
+        (2, "2", None, "1", 1),     # OPENBLAS_NUM_THREADS wins
+        (2, None, "1", None, 2),    # ... and before that to GOTO_NUM_THREADS
+        (2, None, "1", "2", 2),     # GOTO_NUM_THREADS wins over OMP_NUM_THREADS
+        (2, "2", "1", None, 1),     # OPENBLAS_NUM_THREADS wins over GOTO_NUM_THREADS
+        (4, "2", None, None, 2),
+        (8, "1", None, None, 5),    # never more than one thread per pool
+        (1, "1", None, None, 1),
+        (2, "0", None, None, 1),    # not a thread count: BLAS uses every core
+        (2, "x", None, None, 1),
     ])
-    def test_worker_count_rule(self, monkeypatch, cores, openblas, omp, want):
+    def test_worker_count_rule(self, monkeypatch, cores, openblas, goto, omp, want):
         monkeypatch.setattr(evaluation.os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
-        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("GOTO_NUM_THREADS", goto),
+                           ("OMP_NUM_THREADS", omp)):
             if value is None:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
         assert evaluation._matrix_workers(5) == want
 
-    @pytest.mark.parametrize("openblas, pools_started", [(None, []), ("1", [2])])
+    @pytest.mark.parametrize("openblas, pools_started", [(None, [1]), ("1", [2])])
     def test_far_matrix_starts_threads_by_the_rule(self, monkeypatch, openblas, pools_started):
         monkeypatch.setattr(evaluation.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         if openblas is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
