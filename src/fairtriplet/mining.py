@@ -137,9 +137,11 @@ def _candidate_blocks(batch: MiningBatch, margin: float):
     limit = genuine + margin
     same_rows, same_cols = same_identity_pairs(ids, ids)
     doc_norms = squared_norms(doc)
+    buf = np.empty((min(MINE_BLOCK_ROWS, n), n))  # every block's d, in turn
     for r0 in starts:
         r1 = min(r0 + MINE_BLOCK_ROWS, n)
-        d = cross_squared_distances(selfie[r0:r1], doc, b_norms=doc_norms)
+        d = cross_squared_distances(selfie[r0:r1], doc, b_norms=doc_norms,
+                                    out=buf[:r1 - r0])
         selfie_mask = d < limit[r0:r1, None]
         doc_mask = d < limit[None, :]
         lo, hi = np.searchsorted(same_rows, (r0, r1))

@@ -1,6 +1,10 @@
+import ctypes
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from fairtriplet.config import (
 from fairtriplet.core import CONTINENTS, ConfigError
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 from fairtriplet.dataio import read_embeddings_csv, save_dataset
+from fairtriplet import harness
 from fairtriplet.harness import (
     aggregate_reports,
     export_embeddings,
@@ -417,3 +422,42 @@ class TestReportAggregation:
         write_summary_csv(out, rows)
         header = out.read_text().splitlines()[0]
         assert "worst_to_overall" in header
+
+
+# Run in a fresh interpreter, so no other test's arrays are freed meanwhile.
+_MAPPED_PROBE = """
+import ctypes
+import numpy as np
+import fairtriplet.harness
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+big = np.ones(24 << 20, dtype=np.uint8)
+del big
+mapped = mallinfo2().hblkhd
+block = np.ones(3 << 20, dtype=np.uint8)
+print(mallinfo2().hblkhd - mapped)
+"""
+
+
+class TestHeapThresholds:
+    def test_large_block_is_mapped_after_a_larger_one_is_freed(self):
+        if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
+            pytest.skip("C library has no mallinfo2")
+        # Freeing a 24 MiB mapped block would raise glibc's dynamic mmap
+        # threshold to 24 MiB, and the 3 MiB block would then come from the heap.
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _MAPPED_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert int(proc.stdout) >= 3 << 20
+
+    def test_pin_is_a_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: object())
+        harness._pin_heap_thresholds()
