@@ -13,7 +13,7 @@ import ctypes
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .model import (
     loss_gradients,
     save_checkpoint,
 )
-from .sampling import SamplerSpec, probabilities, update_dynamic_weights
+from .sampling import DynamicState, SamplerSpec, probabilities, update_dynamic_weights
 
 METRICS_FILE = "metrics.json"
 TIMINGS_FILE = "timings.json"
@@ -181,36 +181,10 @@ def _group_pool_datasets(cfg: ExperimentConfig, axis: str, stream: str,
     return pools
 
 
-def _rng_state_json(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state)
-
-
-def _rng_from_state(state_json: str) -> np.random.Generator:
+def _rng_from_state(state: dict) -> np.random.Generator:
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(state_json)
+    rng.bit_generator.state = state
     return rng
-
-
-def _sampler_state_extras(sampler: SamplerSpec) -> str:
-    if sampler.dynamic is None:
-        return json.dumps(None)
-    st = sampler.dynamic
-    return json.dumps(
-        {"weights": st.weights, "lam": st.lam,
-         "alpha_smooth": st.alpha_smooth, "epoch": st.epoch}
-    )
-
-
-def _sampler_with_state(sampler: SamplerSpec, state_json: str) -> SamplerSpec:
-    data = json.loads(state_json)
-    if data is None:
-        return sampler
-    from .sampling import DynamicState
-
-    return sampler.with_dynamic(DynamicState(
-        weights=data["weights"], lam=data["lam"],
-        alpha_smooth=data["alpha_smooth"], epoch=data["epoch"],
-    ))
 
 
 def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
@@ -239,17 +213,15 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         return str(Path("checkpoints", f"ckpt_{step:06d}.npz"))
 
     if resume_from is not None:
-        net, opt, start_step, _, extras = load_checkpoint(resume_from, full_hash)
-        rng_sampler = _rng_from_state(extras["rng_sampler"])
-        rng_miner = _rng_from_state(extras["rng_miner"])
-        sampler = _sampler_with_state(cfg.sampler.build(), extras["sampler_state"])
-        record = RunRecord(
-            config_hash=full_hash,
-            epochs=json.loads(extras["epochs"]),
-            checkpoints=json.loads(extras["checkpoint_paths"]),
-            final_step=start_step,
-        )
-        loss_buffer: list[float] = json.loads(extras["loss_buffer"])
+        net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
+        rng_sampler = _rng_from_state(state["rng_sampler"])
+        rng_miner = _rng_from_state(state["rng_miner"])
+        sampler = cfg.sampler.build()
+        if state["dynamic"] is not None:
+            sampler = sampler.with_dynamic(DynamicState(**state["dynamic"]))
+        record = RunRecord(config_hash=full_hash, epochs=state["epochs"],
+                           checkpoints=state["checkpoints"], final_step=start_step)
+        loss_buffer: list[float] = state["loss_buffer"]
         # A checkpoint stores the list without its own name. A validation
         # checkpoint (its step has the last epoch entry) belongs in it.
         if record.epochs and record.epochs[-1]["step"] == start_step:
@@ -273,14 +245,14 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     def save_state(step: int) -> None:
         save_checkpoint(
             out / checkpoint_name(step), net, opt, step, full_hash,
-            extras={
+            run_state={
                 "model_hash": cfg.model_hash(),
-                "rng_sampler": _rng_state_json(rng_sampler),
-                "rng_miner": _rng_state_json(rng_miner),
-                "sampler_state": _sampler_state_extras(sampler),
-                "epochs": json.dumps(record.epochs),
-                "checkpoint_paths": json.dumps(record.checkpoints),
-                "loss_buffer": json.dumps(loss_buffer),
+                "rng_sampler": rng_sampler.bit_generator.state,
+                "rng_miner": rng_miner.bit_generator.state,
+                "dynamic": asdict(sampler.dynamic) if sampler.dynamic else None,
+                "epochs": record.epochs,
+                "checkpoints": record.checkpoints,
+                "loss_buffer": loss_buffer,
             },
         )
         record.checkpoints.append(checkpoint_name(step))
@@ -386,8 +358,8 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     """Evaluate a checkpoint on freshly derived evaluation data and write the
     JSON/CSV report files. Returns the report dict."""
     cfg.validate()
-    net, _, step, _, extras = load_checkpoint(checkpoint)
-    if extras.get("model_hash") != cfg.model_hash():
+    net, _, step, _, state = load_checkpoint(checkpoint)
+    if state.get("model_hash") != cfg.model_hash():
         raise ConfigError(
             "checkpoint was trained under a different seed/data/training config"
         )

@@ -8,6 +8,7 @@ triplets produces an exactly-zero gradient.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,7 +21,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,6 @@ class EmbeddingNetwork:
     @property
     def embed_dim(self) -> int:
         return self.weights[-1].shape[1]
-
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *(w.shape[1] for w in self.weights))
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -237,64 +234,65 @@ def adam_step(state: OptimizerState, net: EmbeddingNetwork,
 
 
 def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerState,
-                    step: int, config_hash: str, extras: dict[str, str] | None = None) -> None:
-    """Versioned checkpoint: config hash, all parameters, optimizer state,
-    step count, plus opaque extra records (JSON strings)."""
-    arrays: dict[str, np.ndarray] = {
-        "checkpoint_version": np.int64(_CHECKPOINT_VERSION),
-        "config_hash": np.str_(config_hash),
-        "activation": np.str_(net.activation),
-        "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
-        "step": np.int64(step),
-        "adam_step": np.int64(state.step),
-        "lr_init": np.float64(state.lr_init),
-        "lr_final": np.float64(state.lr_final),
-        "decay_steps": np.int64(state.decay_steps),
+                    step: int, config_hash: str, run_state: dict | None = None) -> None:
+    """Versioned checkpoint: each parameter and Adam moment as an array, and
+    one JSON ``header`` with the version, config hash, activation, step
+    counts, learning-rate schedule and the caller's ``run_state``."""
+    header = {
+        "version": _CHECKPOINT_VERSION,
+        "config_hash": config_hash,
+        "activation": net.activation,
+        "step": int(step),
+        "adam_step": int(state.step),
+        "lr_init": float(state.lr_init),
+        "lr_final": float(state.lr_final),
+        "decay_steps": int(state.decay_steps),
+        "run_state": run_state or {},
     }
+    # Key order is kept, not sorted: a mapping's order can carry meaning
+    # (the dynamic sampler draws its groups in weight order).
+    arrays: dict[str, np.ndarray] = {"header": np.str_(json.dumps(header))}
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
     for i, (m, v) in enumerate(zip(state.m, state.v)):
         arrays[f"adam_m{i}"] = m
         arrays[f"adam_v{i}"] = v
-    for key, val in (extras or {}).items():
-        arrays[f"extra_{key}"] = np.str_(val)
     savez_deterministic(path, arrays)
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     """Load a checkpoint; rejects a mismatched config hash.
 
-    Returns (net, optimizer_state, step, config_hash, extras).
+    Returns (net, optimizer_state, step, config_hash, run_state).
     """
     with np.load(path) as z:
-        if int(z["checkpoint_version"]) != _CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version in {path}")
-        config_hash = str(z["config_hash"])
+        try:
+            header = json.loads(str(z["header"]))
+        except (KeyError, ValueError):
+            header = None
+        if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
+            raise ConfigError(
+                f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint"
+            )
+        config_hash = header["config_hash"]
         if expected_config_hash is not None and config_hash != expected_config_hash:
             raise ConfigError(
                 f"checkpoint config hash {config_hash} does not match expected "
                 f"{expected_config_hash}"
             )
-        dims = z["layer_dims"]
-        n_layers = len(dims) - 1
+        n_layers = sum(name.startswith("w") for name in z.files)
         net = EmbeddingNetwork(
             [z[f"w{i}"] for i in range(n_layers)],
             [z[f"b{i}"] for i in range(n_layers)],
-            activation=str(z["activation"]),
+            activation=header["activation"],
         )
         state = OptimizerState(
             m=[z[f"adam_m{i}"].copy() for i in range(2 * n_layers)],
             v=[z[f"adam_v{i}"].copy() for i in range(2 * n_layers)],
-            step=int(z["adam_step"]),
-            lr_init=float(z["lr_init"]),
-            lr_final=float(z["lr_final"]),
-            decay_steps=int(z["decay_steps"]),
+            step=header["adam_step"],
+            lr_init=header["lr_init"],
+            lr_final=header["lr_final"],
+            decay_steps=header["decay_steps"],
         )
-        extras = {
-            k[len("extra_"):]: str(z[k])
-            for k in z.files
-            if k.startswith("extra_")
-        }
-        step = int(z["step"])
-    return net, state, step, config_hash, extras
+    return net, state, header["step"], config_hash, header["run_state"]

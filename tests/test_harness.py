@@ -17,7 +17,7 @@ from fairtriplet.config import (
     config_from_dict,
     load_config,
 )
-from fairtriplet.core import CONTINENTS, ConfigError
+from fairtriplet.core import CONTINENTS, ConfigError, axis_groups
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
 from fairtriplet.dataio import read_embeddings_csv, save_dataset
 from fairtriplet import harness
@@ -224,14 +224,27 @@ class TestTrainingRuns:
             assert outs_a[k] == outs_b[k], k
 
     # Stop at a validation step, between validations, and at the end; the
-    # last case is `train --resume` on a finished run.
-    @pytest.mark.parametrize("stop_after", [3, 4, 6],
-                             ids=["validation-step", "between-validations", "finished"])
-    def test_resume_equals_uninterrupted(self, tmp_path, stop_after):
-        cfg_full = tiny_config(tmp_path, "full")
+    # last case is `train --resume` on a finished run. The dynamic sampler
+    # draws its groups in the order of its weights, which the checkpoint must
+    # keep; on neither axis is that order sorted.
+    @pytest.mark.parametrize("variant, axis, stop_after", [
+        pytest.param(variant, axis, stop, id=prefix + name)
+        for variant, axis, prefix in (("natural", "continent", ""),
+                                      ("dynamic", "continent", "dynamic-continent-"),
+                                      ("dynamic", "country", "dynamic-country-"))
+        for name, stop in (("validation-step", 3), ("between-validations", 4),
+                           ("finished", 6))
+    ])
+    def test_resume_equals_uninterrupted(self, tmp_path, variant, axis, stop_after):
+        assert variant == "natural" or list(axis_groups(axis)) != sorted(axis_groups(axis))
+        # Every group on the axis needs training pairs to be drawn from.
+        kw = dict(sampler=SamplerConfig(variant=variant, axis=axis),
+                  data=GeneratorConfig(n_pairs=1500 if axis == "continent" else 5000,
+                                       input_dim=16))
+        cfg_full = tiny_config(tmp_path, "full", **kw)
         rec_full = run_training(cfg_full)
 
-        cfg_part = tiny_config(tmp_path, "part")
+        cfg_part = tiny_config(tmp_path, "part", **kw)
         run_training(cfg_part, stop_after=stop_after)
         rec_resumed = run_training(
             cfg_part, resume_from=latest_checkpoint(cfg_part.output_dir)
@@ -336,7 +349,7 @@ class TestEval:
         save_checkpoint(untrained, net0,
                         OptimizerState.for_network(net0, 1e-3, 1e-5, 1),
                         step=0, config_hash=cfg.config_hash(),
-                        extras={"model_hash": cfg.model_hash()})
+                        run_state={"model_hash": cfg.model_hash()})
         rep_untrained = run_eval(cfg, untrained, out_dir=tmp_path / "first")
         rep_trained = run_eval(cfg, latest_checkpoint(cfg.output_dir),
                                out_dir=tmp_path / "last")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairtriplet.core import ConfigError, normalize
+from fairtriplet.core import ConfigError, normalize, savez_deterministic
 from fairtriplet.model import (
     EmbeddingNetwork,
     OptimizerState,
@@ -268,24 +268,53 @@ class TestTrainingLossDecreases:
         assert tail < head
 
 
+def write_v1_checkpoint(path, net, state, step, config_hash):
+    """A checkpoint in the version-1 layout: one member per scalar."""
+    arrays = {
+        "checkpoint_version": np.int64(1),
+        "config_hash": np.str_(config_hash),
+        "activation": np.str_(net.activation),
+        "layer_dims": np.asarray([net.input_dim, *(w.shape[1] for w in net.weights)]),
+        "step": np.int64(step),
+        "adam_step": np.int64(state.step),
+        "lr_init": np.float64(state.lr_init),
+        "lr_final": np.float64(state.lr_final),
+        "decay_steps": np.int64(state.decay_steps),
+    }
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    for i, (m, v) in enumerate(zip(state.m, state.v)):
+        arrays[f"adam_m{i}"], arrays[f"adam_v{i}"] = m, v
+    savez_deterministic(path, arrays)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        net = make_net(seed=12)
+        net = make_net(seed=12, hidden=(8, 7))
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 7)
         rng = np.random.default_rng(13)
         for _ in range(3):
             adam_step(state, net, [rng.normal(size=p.shape) for p in net.parameters()])
+        # Keys out of sorted order, at the top and nested: order must survive.
+        run_state = {"zeta": [0.1, None], "weights": {"UN": 0.5, "EU": 2.0, "AF": 1 / 3},
+                     "alpha": 7}
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, state, step=3, config_hash="abc123",
-                        extras={"note": "hello"})
-        net2, state2, step, chash, extras = load_checkpoint(path, "abc123")
-        assert step == 3 and chash == "abc123" and extras["note"] == "hello"
+        save_checkpoint(path, net, state, step=3, config_hash="abc123", run_state=run_state)
+        net2, state2, step, chash, run_state2 = load_checkpoint(path, "abc123")
+        assert step == 3 and chash == "abc123"
+        assert run_state2 == run_state
+        assert list(run_state2) == list(run_state)
+        assert list(run_state2["weights"]) == list(run_state["weights"])
         assert net2.activation == net.activation
+        assert len(net2.weights) == len(net.weights) == 3
         for a, b in zip(net.parameters(), net2.parameters()):
             assert np.array_equal(a, b)
-        for a, b in zip(state.m, state2.m):
+        for a, b in zip(state.m + state.v, state2.m + state2.v):
             assert np.array_equal(a, b)
-        assert state2.step == state.step
+        assert (state2.step, state2.lr_init, state2.lr_final, state2.decay_steps) == (
+            state.step, state.lr_init, state.lr_final, state.decay_steps)
+        with np.load(path) as z:
+            assert len(z.files) == 1 + 6 * len(net.weights)
 
     def test_hash_mismatch_rejected(self, tmp_path):
         net = make_net()
@@ -294,6 +323,27 @@ class TestCheckpoint:
         save_checkpoint(path, net, state, 0, "deadbeef")
         with pytest.raises(ConfigError):
             load_checkpoint(path, "someotherhash")
+
+    def test_version_1_rejected(self, tmp_path):
+        net = make_net()
+        state = OptimizerState.for_network(net, 1e-3, 1e-5, 7)
+        path = tmp_path / "v1.npz"
+        write_v1_checkpoint(path, net, state, 0, "deadbeef")
+        with pytest.raises(ConfigError, match="version-2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", ["{not json", '{"version": 3}', "[2]"],
+                             ids=["not-json", "other-version", "not-an-object"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        net = make_net()
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        arrays["header"] = np.str_(header)
+        savez_deterministic(path, arrays)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
 
 
 class TestTrainingConfig:
