@@ -35,7 +35,6 @@ class TrainingConfig:
     hidden_dims: tuple[int, ...] = (64,)
     embed_dim: int = 32
     activation: str = "tanh"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.margin <= 0:

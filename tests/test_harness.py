@@ -54,12 +54,12 @@ REPO = Path(__file__).resolve().parent.parent
 # (config_hash, model_hash) of each preset; a change here invalidates every
 # run directory and checkpoint made with that preset.
 PRESET_HASHES = {
-    "adjusted.yaml": ("d36ea035eb79cdf3", "9828ef65d736b34c"),
-    "country_adjusted.yaml": ("5d77bb5f19aa7e84", "9828ef65d736b34c"),
-    "dynamic.yaml": ("3bf9508f75b2f5e0", "9828ef65d736b34c"),
-    "equal.yaml": ("203fa54210eb4bfe", "9828ef65d736b34c"),
-    "homogeneous.yaml": ("9bed445d455e31bf", "9828ef65d736b34c"),
-    "natural.yaml": ("1bd5c87d774dd632", "9828ef65d736b34c"),
+    "adjusted.yaml": ("d16602075914436e", "a2dd1cdf861ddbc4"),
+    "country_adjusted.yaml": ("3568924a21cbf91f", "a2dd1cdf861ddbc4"),
+    "dynamic.yaml": ("4488af9cfd021442", "a2dd1cdf861ddbc4"),
+    "equal.yaml": ("5c1722428b163b7e", "a2dd1cdf861ddbc4"),
+    "homogeneous.yaml": ("bb7f1aed781abbc2", "a2dd1cdf861ddbc4"),
+    "natural.yaml": ("b63bb1e5d312c44b", "a2dd1cdf861ddbc4"),
 }
 
 # Every key a config file can set, each off its default; some numbers are
@@ -88,7 +88,7 @@ EVERY_KEY = {
     },
     "training": {"margin": 0.5, "batch_n": 512, "minibatch_size": 16, "total_steps": 30,
                  "lr_init": "2e-3", "lr_final": 2e-5, "hidden_dims": [24, 16],
-                 "embed_dim": 12, "activation": "relu", "seed": 9},
+                 "embed_dim": 12, "activation": "relu"},
     "sampler": {"variant": "fixed", "axis": "country", "weights": {"usa": 2, "nigeria": 4.0},
                 "lam": 0.5, "alpha_smooth": 0.3},
     "eval": {"target_far": 2e-3, "n_eval_pairs": 1500, "group_pool_size": 200,
@@ -177,6 +177,8 @@ eval:
         pytest.param({"training": {"batch_n": 2048.7}}, "training.batch_n", id="fractional-int"),
         pytest.param({"output_dir": None}, "output_dir", id="null-output-dir"),
         pytest.param({"eval": {"target_far": None}}, "eval.target_far", id="null-target-far"),
+        pytest.param({"training": {"seed": 9}}, "unknown training keys: ['seed']",
+                     id="training-seed"),
     ])
     def test_malformed_value_is_config_error(self, raw, where):
         with pytest.raises(ConfigError, match=re.escape(where)):
@@ -192,7 +194,7 @@ eval:
     def test_every_settable_key_hashes_pinned(self, monkeypatch):
         monkeypatch.chdir(REPO)  # data.path is relative and must exist
         cfg = config_from_dict(EVERY_KEY)
-        assert (cfg.config_hash(), cfg.model_hash()) == ("42776272b915f7ff", "c0c3af31fae3f676")
+        assert (cfg.config_hash(), cfg.model_hash()) == ("1ed8c93e0a8e40c0", "1d2d95e51ac20ca0")
 
 
     def test_read_only_mappings_hash_like_dicts(self):
@@ -313,10 +315,10 @@ class TestEval:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("report.json", "far_matrix_country.csv", "roc.csv")}
         assert digests == {
-            "report.json": "e1f12e262828e078639dc95dd4c512c023ef063d7341d53a7a81e60d945e7dff",
+            "report.json": "b8dc2c9c5bd6363f3f7c12a6e31f75c831d673046aad8f3e2fc635208f0110fd",
             "far_matrix_country.csv":
-                "81ca98796f654a5b889eed063b6f8edaebd5ed72dd78edd32dec345dc95fbf2d",
-            "roc.csv": "125faa426460ddf35ff333898bd96a3e610ea14a4e0edfe9fe6d3dbb4342c7bb",
+                "17ba210991a62b2c1f9a00f13a1a76f17b11b9c0dae8f620404b1075d71aaa6d",
+            "roc.csv": "d5359ff5abdf8d89aa9221513d9933b53c1aebfabc727fb204b5ce7cb44e37a5",
         }
 
     def test_group_far_equals_per_group_far(self, tmp_path):
