@@ -78,6 +78,9 @@ class EvalConfig:
         if min(self.n_eval_pairs, self.group_pool_size, self.roc_points,
                self.n_roc_splits, self.validation_every) < 1:
             raise ConfigError("eval sizes must be positive")
+        if self.group_pool_size < 2:
+            # A one-pair pool has no impostor comparison within its group.
+            raise ConfigError("group_pool_size must be >= 2")
         if self.matrix_axis not in ("continent", "country"):
             raise ConfigError("matrix_axis must be continent or country")
         if not 0 < self.split_fraction <= 1:
@@ -89,7 +92,7 @@ class EvalConfig:
         if self.far_floor is not None:
             return self.far_floor
         n = self.group_pool_size
-        return 1.0 / (n * (n - 1)) if n > 1 else 1.0
+        return 1.0 / (n * (n - 1))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from fairtriplet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION, main
+from fairtriplet.core import savez_deterministic
 from fairtriplet.dataio import load_dataset
 
 CONFIG_TEXT = """
@@ -84,6 +86,25 @@ def test_malformed_value_exit_code(tmp_path, capsys):
     bad.write_text("data:\n  geometry: {bogus: 1}\n")
     assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_one_pair_pool_exit_code(config_path, tmp_path, capsys):
+    # A one-pair pool has no within-group impostor comparison; the config is
+    # refused before any data is generated.
+    text = config_path.read_text().replace("group_pool_size: 50", "group_pool_size: 1")
+    bad = tmp_path / "one_pair.yaml"
+    bad.write_text(text)
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    assert "group_pool_size" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_exit_code(config_path, tmp_path, capsys):
+    v1 = tmp_path / "v1.npz"
+    savez_deterministic(v1, {"checkpoint_version": np.int64(1),
+                             "config_hash": np.str_("0" * 16)})
+    assert main(["eval", "-c", str(config_path), "--checkpoint", str(v1)]) == EXIT_CONFIG
+    assert "version-2" in capsys.readouterr().err
 
 
 def test_resolution_error_exit_code(config_path, tmp_path, capsys):

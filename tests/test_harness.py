@@ -179,6 +179,8 @@ eval:
         pytest.param({"eval": {"target_far": None}}, "eval.target_far", id="null-target-far"),
         pytest.param({"training": {"seed": 9}}, "unknown training keys: ['seed']",
                      id="training-seed"),
+        pytest.param({"eval": {"group_pool_size": 1}}, "group_pool_size must be >= 2",
+                     id="one-pair-pool"),
     ])
     def test_malformed_value_is_config_error(self, raw, where):
         with pytest.raises(ConfigError, match=re.escape(where)):
