@@ -241,11 +241,11 @@ def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerSta
         "version": _CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "activation": net.activation,
-        "step": int(step),
-        "adam_step": int(state.step),
-        "lr_init": float(state.lr_init),
-        "lr_final": float(state.lr_final),
-        "decay_steps": int(state.decay_steps),
+        "step": step,
+        "adam_step": state.step,
+        "lr_init": state.lr_init,
+        "lr_final": state.lr_final,
+        "decay_steps": state.decay_steps,
         "run_state": run_state or {},
     }
     # Key order is kept, not sorted: a mapping's order can carry meaning
@@ -271,9 +271,7 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
         except (KeyError, ValueError):
             header = None
         if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint"
-            )
+            raise ConfigError(f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint")
         config_hash = header["config_hash"]
         if expected_config_hash is not None and config_hash != expected_config_hash:
             raise ConfigError(
