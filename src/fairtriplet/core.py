@@ -171,11 +171,17 @@ def cross_squared_distances(a: np.ndarray, b: np.ndarray,
     return d
 
 
-def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray,
+                        b_order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` of every cell with ``a_ids[row] == b_ids[col]``, in
     row-major order, found from a sort of ``b_ids`` rather than an all-pairs
-    comparison."""
-    by_id = np.argsort(b_ids, kind="stable")
+    comparison.
+
+    A caller that pairs many ``a_ids`` with one ``b_ids`` passes its stable
+    order ``b_order = np.argsort(b_ids, kind="stable")`` once instead of
+    having it recomputed per call.
+    """
+    by_id = np.argsort(b_ids, kind="stable") if b_order is None else b_order
     sorted_ids = b_ids[by_id]
     first = np.searchsorted(sorted_ids, a_ids, side="left")
     count = np.searchsorted(sorted_ids, a_ids, side="right") - first
@@ -215,7 +221,8 @@ class Dataset:
     """Columnar store of sample pairs.
 
     Arrays are aligned by pair index and made read-only at construction;
-    ``group_index`` gives the index partition for a grouping axis.
+    ``group_index`` gives the index partition for a grouping axis, built once
+    per axis and kept with the dataset.
     """
 
     identity_ids: np.ndarray   # (n,) int64, opaque
@@ -241,6 +248,7 @@ class Dataset:
             arr = getattr(self, name)
             if arr.flags.owndata:
                 arr.setflags(write=False)
+        self._group_indexes: dict[str, dict[str, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.identity_ids)
@@ -269,10 +277,17 @@ class Dataset:
         """Partition of pair indices by group, in canonical group order.
 
         Every axis group is present as a key; groups absent from the data map
-        to empty index arrays.
+        to empty index arrays. The partition is built on the first call for
+        an axis and kept; its index arrays are read-only.
         """
-        tags = self.labels(axis)
-        return {g: np.flatnonzero(tags == g) for g in axis_groups(axis)}
+        index = self._group_indexes.get(axis)
+        if index is None:
+            tags = self.labels(axis)
+            index = {g: np.flatnonzero(tags == g) for g in axis_groups(axis)}
+            for members in index.values():
+                members.setflags(write=False)
+            self._group_indexes[axis] = index
+        return dict(index)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(

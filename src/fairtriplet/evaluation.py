@@ -87,11 +87,24 @@ class EvalSet:
         )
 
     @cached_property
-    def sorted_impostor(self) -> np.ndarray:
+    def impostor(self) -> np.ndarray:
         """The set's impostor distances (its selfies against its own docs),
-        sorted and read-only; built on first use and kept with the set."""
+        read-only; built on first use and kept with the set. They are in
+        row-major order until ``sorted_impostor`` sorts this same buffer."""
         dists = impostor_distances(self.selfie_emb, self.identity_ids,
                                    self.doc_emb, self.identity_ids)
+        dists.flags.writeable = False
+        return dists
+
+    @cached_property
+    def sorted_impostor(self) -> np.ndarray:
+        """``impostor`` sorted ascending, read-only. Sorts that buffer in
+        place, so the set never holds two impostor vectors; calibration
+        selects from ``impostor`` and needs no sort, the theta grid and the
+        ROC read this."""
+        dists = self.impostor
+        dists.flags.writeable = True
+        dists.sort()
         dists.flags.writeable = False
         return dists
 
@@ -194,16 +207,17 @@ def _product_cut(theta: float, na: float, nb: float) -> float:
 
 class _Side(NamedTuple):
     """One side of a comparison, prepared for counting: float64 rows, their
-    identity ids and their squared norms."""
+    identity ids, the ids' stable sort order and the rows' squared norms."""
 
     emb: np.ndarray
     ids: np.ndarray
+    id_order: np.ndarray
     norms: np.ndarray
 
 
 def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
     emb = np.asarray(emb, dtype=np.float64)
-    return _Side(emb, ids, squared_norms(emb))
+    return _Side(emb, ids, np.argsort(ids, kind="stable"), squared_norms(emb))
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -227,7 +241,7 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
 def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
     """``far_counts`` on prepared sides. Allocates its own tile buffers, so
     calls on different threads share nothing they write."""
-    same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids)
+    same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids, doc.id_order)
     comparisons = len(selfie.emb) * len(doc.emb) - same_rows.size
     if comparisons == 0:
         raise ValueError("no impostor comparisons available")
@@ -275,7 +289,8 @@ def far(eval_set: EvalSet, theta: float) -> float:
 
 def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
                        doc_emb: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
-    """All impostor squared distances (same-identity pairs excluded), sorted.
+    """All impostor squared distances (same-identity pairs excluded), in
+    row-major order: selfie by selfie, each against the docs in order.
 
     The distances come from the same tiles as ``far_counts``, so a threshold
     taken from them counts exactly there.
@@ -292,7 +307,6 @@ def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
         values = d[keep]
         out[pos:pos + values.size] = values
         pos += values.size
-    out.sort()
     return out
 
 
@@ -304,14 +318,22 @@ def calibrate_threshold(eval_set: EvalSet, target_far: float) -> float:
     impostor comparisons the returned threshold is the (floor(target*n))-th
     smallest distance; FAR at the next distinct grid value exceeds the
     target. Requires n * target_far >= 1, otherwise the target is below the
-    measurement's resolution.
+    measurement's resolution. The distance is found by selection
+    (``_kth_smallest``), so the set's impostor vector is not sorted.
     """
-    return calibrate_threshold_from_distances(eval_set.sorted_impostor, target_far)
+    return _calibrated(eval_set.impostor, target_far, _kth_smallest)
 
 
 def calibrate_threshold_from_distances(sorted_impostor: np.ndarray,
                                        target_far: float) -> float:
-    n = len(sorted_impostor)
+    """``calibrate_threshold`` on impostor distances sorted ascending."""
+    return _calibrated(sorted_impostor, target_far, lambda values, k: values[k])
+
+
+def _calibrated(impostor: np.ndarray, target_far: float, kth) -> float:
+    """The calibration rule on ``impostor``, whose k-th smallest value
+    (counting from 0) is ``kth(impostor, k)``."""
+    n = len(impostor)
     if target_far <= 0 or n * target_far < 1.0:
         raise ResolutionError(
             f"target FAR {target_far:g} needs >= {1.0 / target_far if target_far > 0 else np.inf:.0f} "
@@ -319,8 +341,32 @@ def calibrate_threshold_from_distances(sorted_impostor: np.ndarray,
         )
     k = int(np.floor(target_far * n))
     if k >= n:
-        return float(np.nextafter(sorted_impostor[-1], np.inf))
-    return float(sorted_impostor[k])
+        return float(np.nextafter(impostor.max(), np.inf))
+    return float(kth(impostor, k))
+
+
+# Values per chunk of ``_kth_smallest``'s filtering pass: it holds one
+# boolean mask of this length, not one as long as the impostor vector.
+_SELECT_CHUNK = 1 << 18
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    """``np.sort(values)[k]`` for ``k < len(values)``, in O(n) time, without
+    sorting or copying ``values`` (Hoare's FIND; Floyd and Rivest 1975).
+
+    The k-th smallest of any k + 1 or more of the values is at least the
+    k-th smallest of all of them, so partitioning a prefix gives an upper
+    bound. The values at or below it are a prefix of the sorted order that
+    reaches past position k, so their own k-th smallest is the answer. A
+    prefix of sqrt(n (k + 1)) values balances the two partitions when the
+    prefix is typical of the whole; any prefix gives the exact value.
+    """
+    n = len(values)
+    m = min(n, max(k + 1, math.isqrt(n * (k + 1))))
+    bound = np.partition(values[:m], k)[k]
+    chunks = (values[i:i + _SELECT_CHUNK] for i in range(0, n, _SELECT_CHUNK))
+    below = np.concatenate([c[c <= bound] for c in chunks])
+    return np.partition(below, k)[k]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,13 @@ from .model import (
     loss_gradients,
     save_checkpoint,
 )
-from .sampling import DynamicState, SamplerSpec, probabilities, update_dynamic_weights
+from .sampling import (
+    DynamicState,
+    SamplerSpec,
+    absent_groups,
+    probabilities,
+    update_dynamic_weights,
+)
 
 METRICS_FILE = "metrics.json"
 TIMINGS_FILE = "timings.json"
@@ -202,6 +208,10 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     full_hash = cfg.config_hash()
 
     train_ds = _training_dataset(cfg)
+    sampler = cfg.sampler.build()
+    absent = absent_groups(sampler, train_ds)
+    if absent:
+        raise ConfigError(f"sampler weights groups absent from the training set: {absent}")
     val_ds = _natural_dataset(cfg, "datagen-val", cfg.eval.n_eval_pairs)
     val_pool_ds = _group_pool_datasets(
         cfg, cfg.sampler.axis, "datagen-val-pools", cfg.eval.group_pool_size
@@ -216,7 +226,6 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
         rng_sampler = _rng_from_state(state["rng_sampler"])
         rng_miner = _rng_from_state(state["rng_miner"])
-        sampler = cfg.sampler.build()
         if state["dynamic"] is not None:
             sampler = sampler.with_dynamic(DynamicState(**state["dynamic"]))
         record = RunRecord(config_hash=full_hash, epochs=state["epochs"],
@@ -238,7 +247,6 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         start_step = 0
         rng_sampler = stream_rng(cfg, "sampler")
         rng_miner = stream_rng(cfg, "miner")
-        sampler = cfg.sampler.build()
         record = RunRecord(config_hash=full_hash)
         loss_buffer = []
 

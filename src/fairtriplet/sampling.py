@@ -93,23 +93,27 @@ def probabilities(spec: SamplerSpec, dataset: Dataset) -> dict[str, float]:
     groups must be present in the dataset.
     """
     if spec.variant == "natural":
-        tags = dataset.labels(spec.axis)
         n = len(dataset)
-        counts = {g: int(np.sum(tags == g)) for g in axis_groups(spec.axis)}
-        out = {g: c / n for g, c in counts.items() if c > 0}
-    elif spec.variant in ("fixed", "homogeneous"):
-        out = _normalized(spec.weights)
-    elif spec.variant == "dynamic":
-        out = _normalized(spec.dynamic.weights)
-    else:  # pragma: no cover - guarded by SamplerSpec
-        raise ValueError(spec.variant)
+        return {g: len(members) / n
+                for g, members in dataset.group_index(spec.axis).items()
+                if len(members) > 0}
+    missing = absent_groups(spec, dataset)
+    if missing:
+        raise ValueError(f"groups with positive weight absent from dataset: {missing}")
+    return _normalized(_weights(spec))
 
-    if spec.variant != "natural":
-        index = dataset.group_index(spec.axis)
-        missing = [g for g, p in out.items() if p > 0 and len(index.get(g, ())) == 0]
-        if missing:
-            raise ValueError(f"groups with positive weight absent from dataset: {missing}")
-    return out
+
+def absent_groups(spec: SamplerSpec, dataset: Dataset) -> list[str]:
+    """Groups the spec weights positively that have no pairs in the dataset.
+    Natural sampling draws only from groups present, so it has none."""
+    if spec.variant == "natural":
+        return []
+    index = dataset.group_index(spec.axis)
+    return [g for g, w in _weights(spec).items() if w > 0 and len(index.get(g, ())) == 0]
+
+
+def _weights(spec: SamplerSpec) -> Mapping[str, float]:
+    return spec.dynamic.weights if spec.variant == "dynamic" else spec.weights
 
 
 def raw_dynamic_weights(per_group_far: Mapping[str, float], lam: float,

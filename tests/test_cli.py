@@ -99,6 +99,19 @@ def test_one_pair_pool_exit_code(config_path, tmp_path, capsys):
     assert "group_pool_size" in capsys.readouterr().err
 
 
+def test_absent_weighted_group_exit_code(config_path, tmp_path, capsys):
+    # 1500 pairs at seed 5 hold no africa_rem pair, which the dynamic country
+    # sampler weights; the run stops before any round or validation.
+    text = (config_path.read_text().replace("seed: 9", "seed: 5")
+            .replace("n_pairs: 1200", "n_pairs: 1500")
+            .replace("variant: fixed\n  weights: equal", "variant: dynamic\n  axis: country"))
+    bad = tmp_path / "absent.yaml"
+    bad.write_text(text)
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert "['africa_rem']" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
 def test_version_1_checkpoint_exit_code(config_path, tmp_path, capsys):
     v1 = tmp_path / "v1.npz"
     savez_deterministic(v1, {"checkpoint_version": np.int64(1),

@@ -110,11 +110,15 @@ class TestSquaredDistance:
         rng = np.random.default_rng(2)
         a_ids = rng.integers(0, 20, 50)
         b_ids = rng.integers(0, 20, 35)
-        rows, cols = same_identity_pairs(a_ids, b_ids)
         want_rows, want_cols = np.nonzero(a_ids[:, None] == b_ids[None, :])
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        empty = same_identity_pairs(a_ids, np.array([99, 100]))
-        assert empty[0].size == empty[1].size == 0
+        order = np.argsort(b_ids, kind="stable")
+        for rows, cols in (same_identity_pairs(a_ids, b_ids),
+                           same_identity_pairs(a_ids, b_ids, order)):
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        empty_ids = np.array([99, 100])
+        for empty in (same_identity_pairs(a_ids, empty_ids),
+                      same_identity_pairs(a_ids, empty_ids, np.arange(2))):
+            assert empty[0].size == empty[1].size == 0
 
 
     def test_norms_of_a_row_window_equal_its_slice(self):
@@ -189,6 +193,33 @@ class TestDataset:
         index = dataset.group_index(axis)
         all_idx = np.concatenate([v for v in index.values()])
         assert sorted(all_idx.tolist()) == list(range(len(dataset)))
+        tags = dataset.labels(axis)
+        for g, members in index.items():
+            assert np.array_equal(members, np.flatnonzero(tags == g))
+
+    @pytest.mark.parametrize("axis", ["country", "continent", "gender"])
+    def test_group_index_built_once_per_axis(self, monkeypatch, axis):
+        ds = generate_dataset(GeneratorConfig(seed=12, n_pairs=200, input_dim=8))
+        calls = []
+        labels = Dataset.labels
+
+        def counting(self, axis):
+            calls.append(axis)
+            return labels(self, axis)
+
+        monkeypatch.setattr(Dataset, "labels", counting)
+        first = ds.group_index(axis)
+        second = ds.group_index(axis)
+        assert calls == [axis]
+        assert list(first) == list(second)
+        for g, members in first.items():
+            assert second[g] is members
+            with pytest.raises(ValueError):
+                members[:1] = 0
+        other = "gender" if axis != "gender" else "country"
+        ds.group_index(other)
+        ds.group_index(other)
+        assert calls == [axis, other]
 
     def test_arrays_read_only(self, dataset):
         with pytest.raises(ValueError):

@@ -237,8 +237,8 @@ class TestTiledFarCounts:
         calibrate_threshold(half, 0.05)
         default_theta_grid(half, 20)
         assert calls == [60, 30]
-        assert np.array_equal(es.sorted_impostor, impostor_distances(
-            es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids))
+        assert np.array_equal(es.sorted_impostor, np.sort(impostor_distances(
+            es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)))
 
     def test_sorted_quantiles_equal_numpy_bits(self):
         rng = np.random.default_rng(25)
@@ -424,6 +424,63 @@ class TestCalibration:
         es = make_eval_set(np.random.default_rng(12), 80)
         theta = calibrate_threshold(es, 0.05)
         assert far(es, theta) <= 0.05
+
+    @staticmethod
+    def selected(values, target):
+        """``calibrate_threshold`` on an eval set whose impostor vector is
+        ``values``, in their order; checks that it leaves them in place."""
+        es = make_eval_set(np.random.default_rng(0), 2)
+        es.__dict__["impostor"] = values
+        before = values.tobytes()
+        theta = calibrate_threshold(es, target)
+        assert values.tobytes() == before
+        return theta
+
+    def test_selection_equals_sorted_read(self):
+        rng = np.random.default_rng(14)
+        n = 1000
+        spread = rng.uniform(0.0, 4.0, n)
+        tied = np.round(rng.uniform(0.0, 4.0, n), 1)  # ~40 values, many ties
+        few = rng.choice([0.5, 1.0, 1.5], n)  # ties at every rank
+        ascending = np.sort(spread)
+        # Every value of the prefix that bounds the selection (the first 600,
+        # more than sqrt(n (k + 1)) for k = 300) lies above the k-th smallest.
+        high_prefix = np.concatenate([ascending[:399:-1], rng.permutation(ascending[:400])])
+        assert high_prefix[:600].min() > np.sort(high_prefix)[300]
+        # n * target == 1 exactly (k = 1), the prefix case's k, and target 1.
+        targets = (1.0 / n, 0.0015, 0.25, 0.3, 0.5, 0.999, 1.0)
+        for values in (spread, tied, few, ascending, ascending[::-1], high_prefix):
+            for order in (values, rng.permutation(values), rng.permutation(values)):
+                for target in targets:
+                    want = calibrate_threshold_from_distances(np.sort(order), target)
+                    assert self.selected(order.copy(), target) == want, target
+                for k in (0, 1, 300, n - 1):
+                    assert evaluation._kth_smallest(order, k) == np.sort(order)[k]
+
+    def test_selection_on_small_and_large_sets(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 3, 7, 100, 70_000):
+            values = rng.uniform(0.0, 4.0, n)
+            for target in (1.0 / n, 1.5 / n, 0.1, 1.0):
+                if n * target < 1.0:
+                    continue
+                want = calibrate_threshold_from_distances(np.sort(values), target)
+                assert self.selected(values.copy(), target) == want, (n, target)
+
+    def test_calibration_leaves_impostor_order_and_sorts_in_place(self):
+        es = make_eval_set(np.random.default_rng(16), 70)
+        in_tile_order = impostor_distances(es.selfie_emb, es.identity_ids,
+                                           es.doc_emb, es.identity_ids)
+        theta = calibrate_threshold(es, 0.05)
+        assert es.impostor.tobytes() == in_tile_order.tobytes()
+        assert not es.impostor.flags.writeable
+        want = np.sort(es.impostor)
+        assert theta == calibrate_threshold_from_distances(want, 0.05)
+        sorted_impostor = es.sorted_impostor
+        assert sorted_impostor.tobytes() == want.tobytes()
+        assert sorted_impostor is es.impostor  # one buffer, sorted in place
+        assert not sorted_impostor.flags.writeable
+        assert calibrate_threshold(es, 0.05) == theta
 
 
 class TestFarMatrix:
