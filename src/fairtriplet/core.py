@@ -61,6 +61,10 @@ _COUNTRY_ROWS = (
 # The canonical group order of reports, CSV headers and sampling.
 COUNTRIES = tuple(c for c, _ in _COUNTRY_ROWS)
 _CONTINENT_OF = dict(_COUNTRY_ROWS)
+# The country codes in sorted order and each one's continent, for mapping a
+# column of country codes by binary search instead of a per-row lookup.
+_SORTED_COUNTRIES = np.array(sorted(COUNTRIES))
+_CONTINENT_OF_SORTED = np.array([_CONTINENT_OF[c] for c in _SORTED_COUNTRIES.tolist()])
 
 # Recorded in dataset file headers; a file written under another table is
 # rejected on load.
@@ -259,8 +263,9 @@ class Dataset:
 
     @cached_property
     def continents(self) -> np.ndarray:
-        lut = {c: continent_of(c) for c in np.unique(self.countries)}
-        out = np.array([lut[c] for c in self.countries.tolist()])
+        # Every code is in the table (checked at construction), so the search
+        # lands on it.
+        out = _CONTINENT_OF_SORTED[np.searchsorted(_SORTED_COUNTRIES, self.countries)]
         out.setflags(write=False)
         return out
 

@@ -197,6 +197,11 @@ class TestDataset:
         for g, members in index.items():
             assert np.array_equal(members, np.flatnonzero(tags == g))
 
+    def test_continents_follow_the_country_table(self, dataset):
+        want = [continent_of(c) for c in dataset.countries.tolist()]
+        assert dataset.continents.tolist() == want
+        assert not dataset.continents.flags.writeable
+
     @pytest.mark.parametrize("axis", ["country", "continent", "gender"])
     def test_group_index_built_once_per_axis(self, monkeypatch, axis):
         ds = generate_dataset(GeneratorConfig(seed=12, n_pairs=200, input_dim=8))
