@@ -9,6 +9,7 @@ triplets produces an exactly-zero gradient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,7 +53,8 @@ class TrainingConfig:
 
 
 class EmbeddingNetwork:
-    """MLP with unit-norm output. Parameters are [W0, b0, W1, b1, ...]."""
+    """MLP with unit-norm output. ``parameters()`` views one float64 vector,
+    ``params``, as [W0, b0, W1, b1, ...]; change it only in place."""
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
                  activation: str = "tanh"):
@@ -60,8 +62,10 @@ class EmbeddingNetwork:
             raise ValueError("weights and biases must be nonempty and aligned")
         if activation not in ("tanh", "relu"):
             raise ValueError(f"unknown activation: {activation!r}")
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in biases]
+        params = [p for wb in zip(weights, biases) for p in wb]
+        self.shapes = [np.shape(p) for p in params]
+        self.params = self.flatten(params)
+        self.weights, self.biases = self.parameters()[0::2], self.parameters()[1::2]
         self.activation = activation
 
     @classmethod
@@ -84,18 +88,20 @@ class EmbeddingNetwork:
     def embed_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+    def layout(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a vector shaped like ``params``."""
+        parts = np.split(vec, np.cumsum([math.prod(s) for s in self.shapes[:-1]]))
+        return [part.reshape(s) for part, s in zip(parts, self.shapes)]
 
-    def copy(self) -> "EmbeddingNetwork":
-        return EmbeddingNetwork(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+    def flatten(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """One float64 vector of per-parameter arrays; the inverse of layout."""
+        shapes = [np.shape(a) for a in arrays]
+        if shapes != self.shapes:
+            raise ValueError(f"array shapes {shapes} != parameter shapes {self.shapes}")
+        return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+    def parameters(self) -> list[np.ndarray]:
+        return self.layout(self.params)
 
     def _act(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x) if self.activation == "tanh" else np.maximum(x, 0.0)
@@ -182,10 +188,10 @@ def loss_gradients(net: EmbeddingNetwork, features: np.ndarray, triplets,
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the exponential learning-rate schedule."""
+    """Adam moments, flat like ``params``, plus the exponential lr schedule."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr_init: float
     lr_final: float
@@ -194,10 +200,9 @@ class OptimizerState:
     @classmethod
     def for_network(cls, net: EmbeddingNetwork, lr_init: float, lr_final: float,
                     decay_steps: int) -> "OptimizerState":
-        params = net.parameters()
         return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=np.zeros_like(net.params),
+            v=np.zeros_like(net.params),
             step=0,
             lr_init=lr_init,
             lr_final=lr_final,
@@ -213,22 +218,17 @@ class OptimizerState:
 
 def adam_step(state: OptimizerState, net: EmbeddingNetwork,
               grads: Sequence[np.ndarray]) -> tuple[EmbeddingNetwork, OptimizerState]:
-    """One bias-corrected Adam update, in place; returns the updated pair."""
-    params = net.parameters()
-    if len(grads) != len(params):
-        raise ValueError("gradient count does not match parameter count")
+    """One bias-corrected Adam update of the flat state, in place; returns the pair."""
+    g = net.flatten(grads)
     state.step += 1
     lr = state.learning_rate(state.step)
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
+    net.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
     return net, state
 
 
@@ -254,7 +254,7 @@ def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerSta
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    for i, (m, v) in enumerate(zip(state.m, state.v)):
+    for i, (m, v) in enumerate(zip(net.layout(state.m), net.layout(state.v))):
         arrays[f"adam_m{i}"] = m
         arrays[f"adam_v{i}"] = v
     savez_deterministic(path, arrays)
@@ -285,8 +285,8 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
             activation=header["activation"],
         )
         state = OptimizerState(
-            m=[z[f"adam_m{i}"].copy() for i in range(2 * n_layers)],
-            v=[z[f"adam_v{i}"].copy() for i in range(2 * n_layers)],
+            m=net.flatten([z[f"adam_m{i}"] for i in range(2 * n_layers)]),
+            v=net.flatten([z[f"adam_v{i}"] for i in range(2 * n_layers)]),
             step=header["adam_step"],
             lr_init=header["lr_init"],
             lr_final=header["lr_final"],

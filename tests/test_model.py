@@ -201,12 +201,27 @@ class TestAdam:
             for _ in range(20):
                 grads = [rng.normal(size=p.shape) for p in net.parameters()]
                 adam_step(state, net, grads)
-            results.append(([p.copy() for p in net.parameters()],
-                            [m.copy() for m in state.m]))
-        for a, b in zip(results[0][0], results[1][0]):
+            results.append((net.params.copy(), state.m.copy(), state.v.copy()))
+        for a, b in zip(results[0], results[1]):
             assert np.array_equal(a, b)
-        for a, b in zip(results[0][1], results[1][1]):
-            assert np.array_equal(a, b)
+
+    def test_flat_state(self):
+        net = make_net(hidden=(8, 7))
+        views = net.weights + net.biases
+        assert all(np.shares_memory(p, net.params) for p in views)
+        state = OptimizerState.for_network(net, 1e-3, 1e-5, 10)
+        assert state.m.shape == state.v.shape == net.params.shape
+        before = [p.copy() for p in views]
+        grads = [np.ones_like(p) for p in net.parameters()]
+        adam_step(state, net, grads)
+        for p0, p in zip(before, net.weights + net.biases):
+            assert np.allclose(p - p0, -1e-3)
+        assert all(p is q for p, q in zip(views, net.weights + net.biases))
+        params, step = net.params.copy(), state.step
+        for bad in (grads[:-1], [grads[0].T, *grads[1:]], [*grads[:-1], grads[-1][:-1]]):
+            with pytest.raises(ValueError, match="shapes"):
+                adam_step(state, net, bad)
+        assert np.array_equal(net.params, params) and state.step == step
 
     def test_lr_schedule_endpoints(self):
         net = make_net()
@@ -283,7 +298,7 @@ def write_v1_checkpoint(path, net, state, step, config_hash):
     }
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{i}"], arrays[f"b{i}"] = w, b
-    for i, (m, v) in enumerate(zip(state.m, state.v)):
+    for i, (m, v) in enumerate(zip(net.layout(state.m), net.layout(state.v))):
         arrays[f"adam_m{i}"], arrays[f"adam_v{i}"] = m, v
     savez_deterministic(path, arrays)
 
@@ -309,8 +324,7 @@ class TestCheckpoint:
         assert len(net2.weights) == len(net.weights) == 3
         for a, b in zip(net.parameters(), net2.parameters()):
             assert np.array_equal(a, b)
-        for a, b in zip(state.m + state.v, state2.m + state2.v):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.m, state2.m) and np.array_equal(state.v, state2.v)
         assert (state2.step, state2.lr_init, state2.lr_final, state2.decay_steps) == (
             state.step, state.lr_init, state.lr_final, state.decay_steps)
         with np.load(path) as z:
