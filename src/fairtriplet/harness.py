@@ -114,14 +114,22 @@ def stream_rng(cfg: ExperimentConfig, name: str, extra: int = 0) -> np.random.Ge
     return np.random.default_rng(stream_seed(cfg, name, extra))
 
 
+def checkpoint_name(step: int) -> str:
+    return str(Path("checkpoints", f"ckpt_{step:06d}.npz"))
+
+
 @dataclass
 class RunRecord:
     """Append-only account of one training run."""
 
     config_hash: str
     epochs: list[dict] = field(default_factory=list)
-    checkpoints: list[str] = field(default_factory=list)
     final_step: int = 0
+
+    @property
+    def checkpoints(self) -> list[str]:
+        """Each validation epoch, and only those, leaves a checkpoint."""
+        return [checkpoint_name(e["step"]) for e in self.epochs]
 
     def to_dict(self) -> dict:
         return {
@@ -219,9 +227,6 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     far_floor = cfg.eval.resolved_far_floor()
     mb_per_round = math.ceil(2 * tcfg.batch_n / tcfg.minibatch_size)
 
-    def checkpoint_name(step: int) -> str:
-        return str(Path("checkpoints", f"ckpt_{step:06d}.npz"))
-
     if resume_from is not None:
         net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
         rng_sampler = _rng_from_state(state["rng_sampler"])
@@ -229,12 +234,8 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         if state["dynamic"] is not None:
             sampler = sampler.with_dynamic(DynamicState(**state["dynamic"]))
         record = RunRecord(config_hash=full_hash, epochs=state["epochs"],
-                           checkpoints=state["checkpoints"], final_step=start_step)
+                           final_step=start_step)
         loss_buffer: list[float] = state["loss_buffer"]
-        # A checkpoint stores the list without its own name. A validation
-        # checkpoint (its step has the last epoch entry) belongs in it.
-        if record.epochs and record.epochs[-1]["step"] == start_step:
-            record.checkpoints.append(checkpoint_name(start_step))
     else:
         net = EmbeddingNetwork.create(
             train_ds.input_dim, tcfg.hidden_dims, tcfg.embed_dim,
@@ -259,11 +260,9 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 "rng_miner": rng_miner.bit_generator.state,
                 "dynamic": asdict(sampler.dynamic) if sampler.dynamic else None,
                 "epochs": record.epochs,
-                "checkpoints": record.checkpoints,
                 "loss_buffer": loss_buffer,
             },
         )
-        record.checkpoints.append(checkpoint_name(step))
 
     t_start = time.perf_counter()
     step = start_step
