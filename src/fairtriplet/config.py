@@ -20,7 +20,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .core import ConfigError, axis_groups
+from .core import CONTINENTS, ConfigError, axis_groups
 from .datagen import GeneratorConfig
 from .model import TrainingConfig
 from .sampling import (
@@ -45,6 +45,8 @@ class SamplerConfig:
         return dict(self.weights) if self.weights is not None else None
 
     def build(self) -> SamplerSpec:
+        if self.variant in ("natural", "dynamic") and self.weights is not None:
+            raise ConfigError(f"sampler.weights has no effect on a {self.variant} sampler")
         if self.variant == "dynamic":
             groups = axis_groups(self.axis)
             return SamplerSpec(
@@ -110,6 +112,11 @@ class ExperimentConfig:
         self.training.validate()
         self.eval.validate()
         self.sampler.build()  # raises on bad sampler settings
+        # Checked here, not in GeneratorConfig: per-country validation and
+        # eval pools rekey the composition and keep the run's country_weights.
+        by_country = not set(self.data.composition) <= set(CONTINENTS)
+        if by_country and self.data.country_weights is not None:
+            raise ConfigError("data.country_weights has no effect on a country-keyed composition")
         if self.data_path is not None and not Path(self.data_path).exists():
             raise ConfigError(f"dataset file not found: {self.data_path}")
 

@@ -127,6 +127,17 @@ class GeneratorConfig:
             raise ConfigError("composition keys must all be continents or all be countries")
         if any(v < 0 for v in self.composition.values()):
             raise ConfigError("composition values must be >= 0")
+        for name, table, mapping in (
+            ("country_weights", COUNTRIES, self.country_weights or {}),
+            ("doc_noise", CONTINENTS, self.doc_noise),
+            ("gender_split", CONTINENTS, self.gender_split),
+            *((f"gender_split.{c}", GENDERS, row) for c, row in self.gender_split.items()),
+            ("gender_spread", GENDERS, self.gender_spread),
+        ):
+            unknown = set(mapping) - set(table)
+            if unknown:
+                raise ConfigError(f"data.{name} keys outside the group table: "
+                                  f"{sorted(unknown, key=str)}")
         if self.selfie_noise <= 0:
             raise ConfigError("selfie_noise must be > 0")
         for cont in CONTINENTS:

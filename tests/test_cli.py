@@ -99,6 +99,17 @@ def test_one_pair_pool_exit_code(config_path, tmp_path, capsys):
     assert "group_pool_size" in capsys.readouterr().err
 
 
+def test_weights_on_dynamic_sampler_exit_code(config_path, tmp_path, capsys):
+    # A dynamic sampler starts from uniform weights; configured ones would be
+    # silently ignored, so the config is refused.
+    text = config_path.read_text().replace("variant: fixed", "variant: dynamic")
+    bad = tmp_path / "dynamic_weights.yaml"
+    bad.write_text(text)
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    assert "sampler.weights" in capsys.readouterr().err
+
+
 def test_absent_weighted_group_exit_code(config_path, tmp_path, capsys):
     # 1500 pairs at seed 5 hold no africa_rem pair, which the dynamic country
     # sampler weights; the run stops before any round or validation.

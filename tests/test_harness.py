@@ -181,6 +181,31 @@ eval:
                      id="training-seed"),
         pytest.param({"eval": {"group_pool_size": 1}}, "group_pool_size must be >= 2",
                      id="one-pair-pool"),
+        pytest.param({"sampler": {"variant": "dynamic", "weights": "adjusted"}},
+                     "sampler.weights has no effect on a dynamic sampler", id="dynamic-weights"),
+        pytest.param({"sampler": {"variant": "natural", "weights": {"EU": 5.0}}},
+                     "sampler.weights has no effect on a natural sampler", id="natural-weights"),
+        pytest.param({"data": {"country_weights": {"usaa": 50.0}}},
+                     "data.country_weights keys outside the group table: ['usaa']",
+                     id="country-weights-code"),
+        pytest.param({"data": {"composition": {"usa": 1.0}, "country_weights": {"usa": 2.0}}},
+                     "data.country_weights has no effect on a country-keyed composition",
+                     id="country-weights-by-country"),
+        pytest.param({"data": {"doc_noise": {**{c: 0.2 for c in CONTINENTS}, "EUR": 0.3}}},
+                     "data.doc_noise keys outside the group table: ['EUR']",
+                     id="doc-noise-code"),
+        pytest.param({"data": {"gender_split": {
+            **{c: {"male": 0.5, "female": 0.5} for c in CONTINENTS}, "XX": {"male": 1.0}}}},
+                     "data.gender_split keys outside the group table: ['XX']",
+                     id="gender-split-code"),
+        pytest.param({"data": {"gender_split": {
+            c: {"male": 0.5, "female": 0.5, "other": 0.0} for c in CONTINENTS}}},
+                     "data.gender_split.EU keys outside the group table: ['other']",
+                     id="gender-split-row-code"),
+        pytest.param({"data": {"gender_spread": {"male": 1.0, "female": 1.0, "unknown": 1.0,
+                                                 "nonbinary": 1.0}}},
+                     "data.gender_spread keys outside the group table: ['nonbinary']",
+                     id="gender-spread-code"),
     ])
     def test_malformed_value_is_config_error(self, raw, where):
         with pytest.raises(ConfigError, match=re.escape(where)):
