@@ -386,9 +386,6 @@ class FarMatrix:
         if self.values.shape != (k, k):
             raise ValueError("matrix shape does not match group count")
 
-    def value(self, g: str, h: str) -> float:
-        return float(self.values[self.groups.index(g), self.groups.index(h)])
-
 
 def _matrix_workers(n_pools: int) -> int:
     """Threads for ``far_matrix``: ``min(n_pools, usable cores // BLAS
