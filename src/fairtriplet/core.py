@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,6 +176,100 @@ def cross_squared_distances(a: np.ndarray, b: np.ndarray,
     return d
 
 
+def cell_distances(g: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """The kernel's arithmetic on gathered cells of product ``g`` and squared
+    norms ``na``, ``nb``, in its operation order: ``max(fl(fl(na - 2g) + nb), 0)``."""
+    d = g * -2.0
+    d += na
+    d += nb
+    return np.maximum(d, 0.0, out=d)
+
+
+# Ordered keys of the doubles, as int64: the key order is the float order,
+# -0.0 and +0.0 share key 0, and -inf and +inf sit one key beyond the finite
+# range.
+_SIGN = np.int64(-1 << 63)
+_INF_KEY = int(np.float64(np.inf).view(np.int64))
+
+
+def _keys_of(x: np.ndarray) -> np.ndarray:
+    bits = x.view(np.int64)
+    return np.where(bits < 0, -(bits & ~_SIGN), bits)
+
+
+def _floats_of(keys: np.ndarray) -> np.ndarray:
+    return np.where(keys < 0, -keys | _SIGN, keys).view(np.float64)
+
+
+# Halvings of ``product_cuts``' first bracket, which spans 2**_CUT_STEPS grid
+# steps.
+_CUT_STEPS = 7
+
+
+def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """For each element, the largest finite product ``g`` whose kernel
+    distance ``max(fl(fl(na - 2g) + nb), 0)`` is still >= ``theta``, or -inf
+    when there is none.
+
+    The distance never increases as ``g`` grows (round-to-nearest addition
+    is monotone), so at these norms every product above the cut is accepted
+    by ``d < theta`` and every product at or below it is rejected. All
+    elements are searched at once, by bisection on a grid. The real root
+    ``(na + nb - theta) / 2`` lies within two ulps of ``|na| + |nb| +
+    |theta|`` of the cut, and the distance changes only where one of the
+    kernel's roundings does, which is at multiples of a sixteenth of that ulp
+    or between neighbouring doubles. So a bracket of 2**_CUT_STEPS such grid
+    steps, aligned to the grid, is halved _CUT_STEPS times, and the cut is
+    read off the last step's ends, each checked against its neighbouring
+    double. An element that does not check out (extreme or non-finite
+    inputs) is bisected over the ordered keys of the doubles instead, in at
+    most 64 steps.
+    """
+    theta, na, nb = (np.ravel(x).astype(np.float64)
+                     for x in np.broadcast_arrays(theta, na, nb))
+    # max(d, 0) >= theta is d >= theta for theta > 0, and holds for every
+    # finite d otherwise.
+    bound = np.where(theta > 0, theta, -np.inf)
+    bound[np.isnan(theta)] = np.nan
+
+    def holds(g, at=slice(None)):
+        """d(g) >= theta at the elements ``at``, for finite g."""
+        d = g * -2.0
+        d += na[at]
+        d += nb[at]
+        return d >= bound[at]
+
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        scale = np.spacing(np.abs(na) + np.abs(nb) + np.abs(theta))
+        root = (na + nb - theta) * 0.5
+        step = np.maximum(scale / 16, np.spacing(np.abs(root) + 3 * scale))
+        lo = np.floor((root - 2 * scale) / step) * step
+        half = step * 2.0 ** (_CUT_STEPS - 1)
+        good = np.isfinite(lo) & np.isfinite(half) & holds(lo) & ~holds(lo + 2 * half)
+        lo = np.where(good, lo, 0.0)
+        for _ in range(_CUT_STEPS):
+            mid = lo + half
+            lo = np.where(holds(mid), mid, lo)
+            half *= 0.5
+        hi = lo + step
+        up, down = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+        cut = np.where(holds(up), down, lo)  # a guess checked below
+        good &= (cut == lo) | (holds(down) & ~holds(hi) & (down > lo))
+        # The rest: bisect the keys, from the last step where it checked out.
+        todo = np.flatnonzero(~good)
+        fit = np.isfinite(lo[todo]) & (up[todo] <= down[todo]) & ~holds(hi[todo], todo)
+        lo_key = np.where(fit, _keys_of(lo[todo]), -_INF_KEY)
+        hi_key = np.where(fit, _keys_of(hi[todo]), _INF_KEY)
+        while todo.size:  # every mid lies strictly inside, so is finite
+            mid = (lo_key >> 1) + (hi_key >> 1) + (lo_key & hi_key & 1)  # no overflow
+            ok = holds(_floats_of(mid), todo)
+            lo_key, hi_key = np.where(ok, mid, lo_key), np.where(ok, hi_key, mid)
+            done = hi_key - 1 <= lo_key  # hi_key - lo_key can overflow
+            cut[todo[done]] = _floats_of(lo_key[done])
+            todo, lo_key, hi_key = todo[~done], lo_key[~done], hi_key[~done]
+        return cut
+
+
 def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray,
                         b_order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` of every cell with ``a_ids[row] == b_ids[col]``, in
@@ -183,15 +278,50 @@ def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray,
 
     A caller that pairs many ``a_ids`` with one ``b_ids`` passes its stable
     order ``b_order = np.argsort(b_ids, kind="stable")`` once instead of
-    having it recomputed per call.
+    having it recomputed per call. One search finds where each ``a`` id
+    would start among the sorted ``b`` ids; the id is there or absent. Runs
+    of equal ``b`` ids are measured only when some id repeats.
     """
     by_id = np.argsort(b_ids, kind="stable") if b_order is None else b_order
     sorted_ids = b_ids[by_id]
     first = np.searchsorted(sorted_ids, a_ids, side="left")
-    count = np.searchsorted(sorted_ids, a_ids, side="right") - first
+    if sorted_ids.size == 0:
+        count = np.zeros(len(a_ids), dtype=np.int64)
+    else:
+        count = (sorted_ids[np.minimum(first, sorted_ids.size - 1)] == a_ids).astype(np.int64)
+        starts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+        if starts.size < sorted_ids.size - 1:  # some id repeats
+            run = np.zeros(sorted_ids.size, dtype=np.int64)
+            run[np.r_[0, starts]] = np.diff(np.r_[0, starts, sorted_ids.size])
+            count *= run[np.minimum(first, sorted_ids.size - 1)]
     rows = np.repeat(np.arange(len(a_ids)), count)
     offset = np.repeat(first - (np.cumsum(count) - count), count)
     return rows, by_id[offset + np.arange(rows.size)]
+
+
+def worker_threads(n_tasks: int) -> int:
+    """Threads for ``n_tasks`` independent BLAS-bound tasks: ``min(n_tasks,
+    usable cores // BLAS threads)``, at least one. The BLAS thread count is
+    read in OpenBLAS's order, from ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and then ``OMP_NUM_THREADS``; when none holds a
+    positive count, BLAS spreads each product over every core, and Python
+    threads on top of it only contend. OpenBLAS reads these variables once,
+    when numpy loads it, so the rule holds only if they were set before that
+    and not changed since."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, min(n_tasks, cores // blas))
 
 
 def savez_deterministic(path, arrays: dict) -> None:

@@ -16,14 +16,13 @@ Conventions, fixed across the whole toolkit and its file formats:
 
 ``far_matrix`` prepares each pool's two sides once and counts its selfie
 pools (matrix rows) on up to one thread per core that BLAS leaves free
-(``_matrix_workers``). Every cell is an integer count on the same tiles
+(``core.worker_threads``). Every cell is an integer count on the same tiles
 whichever thread computes it, so the matrix does not depend on the thread
 count.
 """
 from __future__ import annotations
 
 import math
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,9 +36,11 @@ from .core import (
     GENDERS,
     ResolutionError,
     assert_unit_rows,
+    cell_distances,
     cross_squared_distances,
     same_identity_pairs,
     squared_norms,
+    worker_threads,
 )
 from .model import EmbeddingNetwork
 
@@ -164,14 +165,6 @@ def _cell_distance(g: float, na: float, nb: float) -> float:
     return max(na - 2.0 * g + nb, 0.0)
 
 
-def _cell_distances(g: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """``_cell_distance`` on gathered cells, in the kernel's operation order."""
-    d = g * -2.0
-    d += na
-    d += nb
-    return np.maximum(d, 0.0, out=d)
-
-
 # Ordered keys of the doubles: the key order is the float order, -0.0 and
 # +0.0 share key 0, and -inf and +inf sit one key beyond the finite range.
 _DOUBLE = struct.Struct("<d")
@@ -269,11 +262,11 @@ def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
         if n_maybe > n_sure:
             band = np.not_equal(maybe_mask, sure_mask, out=maybe_mask)
             r, c = np.divmod(np.flatnonzero(band), len(doc.emb))
-            d = _cell_distances(g[r, c], na[lo + r], nb[c])
+            d = cell_distances(g[r, c], na[lo + r], nb[c])
             accepted += int(np.count_nonzero(d < theta))
         a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
         r, c = same_rows[a:b], same_cols[a:b]
-        d = _cell_distances(g[r - lo, c], na[r], nb[c])
+        d = cell_distances(g[r - lo, c], na[r], nb[c])
         accepted -= int(np.count_nonzero(d < theta))
     return accepted, comparisons
 
@@ -387,30 +380,6 @@ class FarMatrix:
             raise ValueError("matrix shape does not match group count")
 
 
-def _matrix_workers(n_pools: int) -> int:
-    """Threads for ``far_matrix``: ``min(n_pools, usable cores // BLAS
-    threads)``, at least one. The BLAS thread count is read in OpenBLAS's
-    order, from ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and then
-    ``OMP_NUM_THREADS``; when none holds a positive count, BLAS spreads each
-    product over every core, and Python threads on top of it only contend.
-    OpenBLAS reads these variables once, when numpy loads it, so the rule
-    holds only if they were set before that and not changed since."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    blas = cores
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            blas = n
-            break
-    return max(1, min(n_pools, cores // blas))
-
-
 def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continent") -> FarMatrix:
     groups = tuple(pools)
     k = len(groups)
@@ -420,7 +389,7 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
     def row(i: int) -> list[tuple[int, int]]:
         return [_count_far(selfies[i], doc, theta) for doc in docs]
 
-    with ThreadPoolExecutor(max_workers=_matrix_workers(k)) as pool:
+    with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
         rows = list(pool.map(row, range(k)))
     values = np.zeros((k, k))
     accepted = np.zeros((k, k), dtype=np.int64)

@@ -12,34 +12,71 @@ travel as three int64 arrays ``(anchor, positive, negative)`` of flattened
 indices; an anchor below N is a selfie anchor.
 
 The miner is a row-blocked kernel. Each block of ``MINE_BLOCK_ROWS`` selfies
-gets its distances to every document from the canonical kernel
-``cross_squared_distances``, so each selfie/document distance is computed
-once per round. Both orientations' candidate masks come from that block: the
-selfie anchors' rows are packed to bits and picked from at once; the
-document anchors' columns are packed into an N x ceil(N/8) bit matrix that
-is picked from, block by block, after the last block. A pick reads per-row
-candidate counts and the k-th set bit from byte lookup tables. No N x N
-float matrix, boolean mask, transposed copy or N^2 nonzero scan is built:
-memory is O(N * MINE_BLOCK_ROWS) floats plus N^2/8 bytes.
+gets only its raw product with every document, ``g = selfie[r0:r1] @
+doc.T``, from the same matmul call and shape as the distance block of the
+canonical kernel ``cross_squared_distances``, so every product is the one
+inside that block. The slots' limits D_ap^2 + margin come from the kernel on
+the 128 x 128 diagonal blocks. ``core.product_cuts`` turns each limit into
+product cuts once per round: per selfie anchor (row) at its own norm and
+the documents' extreme norms, and per document anchor (column) at its own
+norm and the selfies' extreme norms. A cell above its ``sure`` cut is a
+candidate and a cell at or below its ``maybe`` cut is not; only the cells
+between the two (usually none) get the kernel's arithmetic on their own
+product and norms. So both orientations' masks are exactly those of
+``d < limit`` on the distance blocks, with none of the kernel's
+elementwise passes.
+
+The blocks run on ``worker_threads`` threads (one per eight blocks, up to
+the cores BLAS leaves free), each with a product buffer and masks that the
+calling thread allocates, and at most one block per thread runs ahead of
+the calling thread. Workers pack the selfie anchors' rows to bits and the
+document anchors' columns to bytes; the calling thread takes the blocks in
+block order, puts the columns into an N x ceil(N/64)*8-byte bit matrix,
+and picks. A pick reads per-row candidate counts and the k-th set bit from
+word popcounts and byte lookup tables. No N x N float matrix, boolean mask,
+transposed copy or N^2 nonzero scan is built: memory is O(N *
+MINE_BLOCK_ROWS) floats per thread plus N^2/8 bytes.
 
 Negative draws consume randomness in a fixed order (one uniform per slot
 with candidates: all selfie-anchor slots in batch order, then all doc-anchor
-slots), so mining is reproducible no matter how the distance computations
-are blocked or parallelized.
+slots) on the calling thread, so mining is reproducible no matter how the
+products are blocked or how many threads compute them. Embeddings must be
+finite.
 """
 from __future__ import annotations
 
+import collections
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, cross_squared_distances, same_identity_pairs, squared_norms
+from .core import (
+    Dataset,
+    cell_distances,
+    cross_squared_distances,
+    product_cuts,
+    same_identity_pairs,
+    squared_norms,
+    worker_threads,
+)
 from .model import EmbeddingNetwork
 from .sampling import SamplerSpec, choose_homogeneous_group, probabilities
 
 # Selfie rows per mining block. A multiple of 8, so every block but the last
 # fills whole bytes of the doc-anchor bit matrix.
 MINE_BLOCK_ROWS = 128
+
+# Anchor rows per pick: one ``_pick_packed`` call draws for the anchors of
+# eight blocks, and holds a cumulative count per word of their rows.
+_PICK_ROWS = 8 * MINE_BLOCK_ROWS
+
+# Blocks per mining thread. A thread's start-up and the hand-off of each
+# block cost about as much as a few blocks of a small batch, so a batch gets
+# a second thread only from 16 blocks (N > 1920) on.
+_BLOCKS_PER_THREAD = 8
 
 # Byte tables for masks packed in little bit order (bit t of byte b is column
 # 8b + t): _POPCOUNT[v] counts the set bits of v and _SELECT[v, r] is the
@@ -48,6 +85,22 @@ _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder=
 _POPCOUNT = _BITS.sum(axis=1).astype(np.uint8)
 _SELECT = np.argsort(1 - _BITS, axis=1, kind="stable").astype(np.uint8)
 _BIT_WEIGHTS = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+def _byte_table_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, from the byte table."""
+    return _POPCOUNT.take(words.view(np.uint8)).reshape(*words.shape, 8).sum(axis=-1)
+
+
+# numpy has bitwise_count from 2.0 on.
+_word_popcounts = getattr(np, "bitwise_count", _byte_table_popcounts)
+
+
+def _packed_width(n: int) -> int:
+    """Bytes per row of a packed mask of n columns, padded to whole uint64
+    words; the padding bits stay clear."""
+    return -(-n // 64) * 8
+
 
 Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -112,94 +165,234 @@ def assemble_batch(dataset: Dataset, sampler: SamplerSpec, n: int,
     )
 
 
-def _candidate_blocks(batch: MiningBatch, margin: float):
-    """Yield ``(r0, r1, selfie_mask, doc_mask)`` for each block of batch slots.
+class _Plan(NamedTuple):
+    """A round's inputs to the block masks, computed once on the calling
+    thread: the embeddings and their squared norms, each slot's limit
+    ``D_ap^2 + margin``, the product cuts of the two orientations and the
+    same-identity cells."""
 
-    Both masks are (r1 - r0, N) and come from one distance block d, with
-    d[i, j] the selfie_i / doc_j squared distance for i in [r0, r1):
-    ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for anchor selfie_i,
-    and ``doc_mask[j - r0, i]`` marks selfie_j as a candidate for anchor
-    doc_i. Same-identity cells (the diagonal included) are cleared from a
-    sort of the identity ids rather than an N x N comparison.
-    """
+    selfie: np.ndarray
+    doc: np.ndarray
+    na: np.ndarray         # (N,) selfie squared norms
+    nb: np.ndarray         # (N,) doc squared norms
+    limit: np.ndarray      # (N,)
+    row_cuts: np.ndarray   # (2, N): sure, maybe of selfie anchor i (row i)
+    col_cuts: np.ndarray   # (2, N): sure, maybe of doc anchor j (column j)
+    same_rows: np.ndarray
+    same_cols: np.ndarray
+
+
+def _plan(batch: MiningBatch, margin: float) -> _Plan:
     if batch.selfie_emb is None or batch.doc_emb is None:
         raise ValueError("batch has no embeddings; call embed_with first")
-    selfie, doc, ids = batch.selfie_emb, batch.doc_emb, batch.identity_ids
+    selfie, doc = batch.selfie_emb, batch.doc_emb
+    if not (np.isfinite(selfie).all() and np.isfinite(doc).all()):
+        raise ValueError("embeddings must be finite")
     n = batch.n
-    starts = range(0, n, MINE_BLOCK_ROWS)
-    # The doc-anchor limits are needed by every block, so the genuine
-    # distances come first, from the diagonal blocks.
+    # The genuine distances come from the kernel on the diagonal blocks.
     genuine = np.concatenate([
         np.diagonal(cross_squared_distances(selfie[r0:r0 + MINE_BLOCK_ROWS],
                                             doc[r0:r0 + MINE_BLOCK_ROWS]))
-        for r0 in starts
+        for r0 in range(0, n, MINE_BLOCK_ROWS)
     ])
     limit = genuine + margin
-    same_rows, same_cols = same_identity_pairs(ids, ids)
-    doc_norms = squared_norms(doc)
-    buf = np.empty((min(MINE_BLOCK_ROWS, n), n))  # every block's d, in turn
-    for r0 in starts:
-        r1 = min(r0 + MINE_BLOCK_ROWS, n)
-        d = cross_squared_distances(selfie[r0:r1], doc, b_norms=doc_norms,
-                                    out=buf[:r1 - r0])
-        selfie_mask = d < limit[r0:r1, None]
-        doc_mask = d < limit[None, :]
-        lo, hi = np.searchsorted(same_rows, (r0, r1))
-        rows, cols = same_rows[lo:hi] - r0, same_cols[lo:hi]
-        selfie_mask[rows, cols] = False
-        doc_mask[rows, cols] = False
-        yield r0, r1, selfie_mask, doc_mask
+    na, nb = squared_norms(selfie), squared_norms(doc)
+    # A row's cuts take its own norm and the extremes of the other side's.
+    cuts = product_cuts(
+        np.tile(limit, 4),
+        np.concatenate([na, na, np.full(n, na.max()), np.full(n, na.min())]),
+        np.concatenate([np.full(n, nb.max()), np.full(n, nb.min()), nb, nb]),
+    ).reshape(4, n)
+    same_rows, same_cols = same_identity_pairs(batch.identity_ids, batch.identity_ids)
+    return _Plan(selfie, doc, na, nb, limit, cuts[:2], cuts[2:], same_rows, same_cols)
 
 
-def _pack_columns(mask: np.ndarray) -> np.ndarray:
-    """``np.packbits(mask, axis=0, bitorder="little").T`` without numpy's
-    slow strided packing: bit t of byte b in row j is ``mask[8b + t, j]``."""
-    rows, cols = mask.shape
-    if rows % 8:
-        mask = np.vstack([mask, np.zeros((-rows % 8, cols), dtype=bool)])
-    return np.einsum("btj,t->jb", mask.view(np.uint8).reshape(-1, 8, cols), _BIT_WEIGHTS)
+class _Scratch(NamedTuple):
+    """One worker's block buffers: the product and two boolean masks, padded
+    to whole bytes of rows and to whole packed words of columns (the padding
+    stays False)."""
+
+    g: np.ndarray
+    mask: np.ndarray
+    spare: np.ndarray
+
+    @classmethod
+    def for_batch(cls, n: int) -> "_Scratch":
+        rows = min(MINE_BLOCK_ROWS, n)
+        padded = (-(-rows // 8) * 8, _packed_width(n) * 8)
+        return cls(np.empty((rows, n)), np.zeros(padded, dtype=bool),
+                   np.zeros(padded, dtype=bool))
+
+
+class _BlockBits(NamedTuple):
+    """A block's packed candidate masks, handed from a worker to the calling
+    thread: ``selfie_bits`` has the block's selfie anchors as rows, and
+    ``doc_bits`` is the block's byte columns of the doc-anchor bit matrix."""
+
+    r0: int
+    r1: int
+    selfie_bits: np.ndarray  # (r1 - r0, _packed_width(N))
+    doc_bits: np.ndarray     # (N, ceil((r1 - r0) / 8))
+
+
+def _decide(g, cuts, theta, na, nb, mask, spare) -> None:
+    """``mask = d(g, na, nb) < theta`` for the kernel's distance d, with
+    ``cuts = (sure, maybe)``; every operand but ``g`` broadcasts over it.
+    Cells above ``sure`` are accepted and cells at or below ``maybe`` are
+    rejected; only the cells between the two, counted first and usually
+    none, get the kernel's arithmetic on their own product and norms."""
+    sure, maybe = cuts
+    np.greater(g, sure, out=mask)
+    np.greater(g, maybe, out=spare)
+    if np.count_nonzero(spare) > np.count_nonzero(mask):
+        r, c = np.nonzero(np.not_equal(spare, mask, out=spare))
+
+        def at(x):
+            return np.broadcast_to(x, g.shape)[r, c]
+
+        mask[r, c] = cell_distances(g[r, c], at(na), at(nb)) < at(theta)
+
+
+def _block_bits(plan: _Plan, r0: int, scratch: _Scratch) -> _BlockBits:
+    """Both orientations' candidate masks of the selfie rows [r0, r1),
+    packed. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for anchor
+    selfie_i and ``doc_mask[i - r0, j]`` marks selfie_i as a candidate for
+    anchor doc_j. Both are decided on the block's raw product ``g = selfie
+    . doc``, whose matmul call and shape are those of the distance block
+    ``cross_squared_distances`` would compute, so every decision is the
+    one ``d < limit`` would make on that block's distances. Same-identity
+    cells (the diagonal included) are cleared from the round's sort of the
+    identity ids rather than an N x N comparison. Runs on worker threads:
+    it writes only to ``scratch`` and to the arrays it returns."""
+    n = len(plan.doc)
+    r1 = min(r0 + MINE_BLOCK_ROWS, n)
+    rows = r1 - r0
+    g = np.matmul(plan.selfie[r0:r1], plan.doc.T, out=scratch.g[:rows])
+    mask, spare = scratch.mask[:rows, :n], scratch.spare[:rows, :n]
+    lo, hi = np.searchsorted(plan.same_rows, (r0, r1))
+    same = plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]
+    na, nb = plan.na[r0:r1, None], plan.nb[None, :]
+
+    _decide(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask, spare)
+    mask[same] = False
+    selfie_bits = np.packbits(scratch.mask[:rows], axis=1, bitorder="little")
+
+    _decide(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask, spare)
+    mask[same] = False
+    padded = scratch.mask[:-(-rows // 8) * 8]
+    padded[rows:] = False
+    # np.packbits(padded, axis=0, bitorder="little").T without numpy's slow
+    # strided packing: bit t of byte b in row j is padded[8b + t, j].
+    doc_bits = np.einsum("btj,t->jb", padded[:, :n].view(np.uint8).reshape(-1, 8, n),
+                         _BIT_WEIGHTS)
+    return _BlockBits(r0, r1, selfie_bits, doc_bits)
+
+
+def _for_each_block(batch: MiningBatch, margin: float, consume) -> None:
+    """Call ``consume(bits)`` with every block's ``_BlockBits``, in block
+    order, on the calling thread.
+
+    The blocks are computed on ``worker_threads(#blocks //
+    _BLOCKS_PER_THREAD)`` threads, each with its own ``_Scratch`` allocated
+    here, on the calling thread, and at most one block per thread runs ahead
+    of ``consume``, so the round holds one product buffer per thread. On one
+    thread the blocks run inline.
+    """
+    plan = _plan(batch, margin)
+    starts = range(0, batch.n, MINE_BLOCK_ROWS)
+    workers = worker_threads(len(starts) // _BLOCKS_PER_THREAD)
+    if workers <= 1:
+        scratch = _Scratch.for_batch(batch.n)
+        for r0 in starts:
+            consume(_block_bits(plan, r0, scratch))
+        return
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_Scratch.for_batch(batch.n))
+
+    def task(r0: int) -> _BlockBits:
+        scratch = free.get()
+        try:
+            return _block_bits(plan, r0, scratch)
+        finally:
+            free.put(scratch)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = collections.deque(pool.submit(task, r0) for r0 in starts[:workers])
+        for r0 in starts[workers:]:
+            done = ahead.popleft().result()
+            ahead.append(pool.submit(task, r0))
+            consume(done)
+        while ahead:
+            consume(ahead.popleft().result())
 
 
 def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     """For each row of a packed mask with any set bit, pick one set column
     uniformly. One uniform draw per nonempty row, consumed in row order;
-    returns (rows, cols)."""
-    width = bits.shape[1]
-    byte_counts = _POPCOUNT.take(bits)
-    counts = byte_counts.sum(axis=1, dtype=np.int64)
+    returns (rows, cols). ``bits`` is C-contiguous with whole uint64 words
+    per row."""
+    words = bits.view(np.uint64)
+    width = words.shape[1]
+    word_counts = _word_popcounts(words)
+    counts = word_counts.sum(axis=1, dtype=np.int64)
     rows = np.flatnonzero(counts)
     if rows.size == 0:
         return rows, rows
     ks = (rng.random(rows.size) * counts[rows]).astype(np.int64)  # k-th set bit, 0-based
-    # Rank of each pick among all set bits of the block, then the byte holding it.
-    cum = np.cumsum(byte_counts, axis=None, dtype=np.int64)
-    target = cum[rows * width] - byte_counts[rows, 0] + ks
+    # Rank of each pick among all set bits of the block, then the word
+    # holding it, then the byte within the word.
+    cum = np.cumsum(word_counts, axis=None, dtype=np.int64)
+    target = cum[rows * width] - word_counts[rows, 0] + ks
     flat = np.searchsorted(cum, target, side="right")
-    rank = target - (cum[flat] - byte_counts.ravel()[flat])
-    cols = (flat - rows * width) * 8 + _SELECT[bits.ravel()[flat], rank]
+    rank = target - (cum[flat] - word_counts.ravel()[flat])
+    word_bytes = bits.reshape(-1, 8)[flat]
+    byte_counts = _POPCOUNT[word_bytes]
+    byte_cum = np.cumsum(byte_counts, axis=1, dtype=np.int64)
+    byte = np.count_nonzero(byte_cum <= rank[:, None], axis=1)
+    picks = np.arange(rows.size)
+    rank -= byte_cum[picks, byte] - byte_counts[picks, byte]
+    cols = (flat - rows * width) * 64 + byte * 8 + _SELECT[word_bytes[picks, byte], rank]
     return rows, cols
+
+
+def _store_doc_bits(doc_bits: np.ndarray, bits: _BlockBits) -> None:
+    """Put a block's byte columns into the doc-anchor bit matrix (row = doc
+    anchor, N x _packed_width(N) bytes)."""
+    doc_bits[:, bits.r0 // 8:(bits.r1 + 7) // 8] = bits.doc_bits
 
 
 def mine_semi_hard(batch: MiningBatch, margin: float,
                    rng: np.random.Generator) -> Triplets:
     """Semi-hard triplets for both anchor orientations of every batch slot:
-    selfie anchors in slot order, then doc anchors in slot order."""
+    selfie anchors in slot order, then doc anchors in slot order. Raises
+    ``ValueError`` when the batch has no embeddings or a non-finite one."""
     n = batch.n
-    doc_bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # row = doc anchor
-    selfie_rows, selfie_negs = [], []
-    for r0, r1, selfie_mask, doc_mask in _candidate_blocks(batch, margin):
-        rows, cols = _pick_packed(np.packbits(selfie_mask, axis=1, bitorder="little"), rng)
-        selfie_rows.append(rows + r0)
-        selfie_negs.append(cols)
-        doc_bits[:, r0 // 8:(r1 + 7) // 8] = _pack_columns(doc_mask)
-    doc_rows, doc_negs = [], []
-    for r0 in range(0, n, MINE_BLOCK_ROWS):
-        rows, cols = _pick_packed(doc_bits[r0:r0 + MINE_BLOCK_ROWS], rng)
-        doc_rows.append(rows + r0)
-        doc_negs.append(cols)
+    doc_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)
+    picks: list[tuple[np.ndarray, np.ndarray]] = []  # (anchor rows, negative cols)
+    pending: list[_BlockBits] = []  # blocks whose selfie anchors are not picked yet
 
-    s_rows, s_negs = np.concatenate(selfie_rows), np.concatenate(selfie_negs)
-    d_rows, d_negs = np.concatenate(doc_rows), np.concatenate(doc_negs)
+    def pick_selfie_anchors() -> None:
+        rows, cols = _pick_packed(np.concatenate([b.selfie_bits for b in pending]), rng)
+        picks.append((rows + pending[0].r0, cols))
+        pending.clear()
+
+    def consume(bits: _BlockBits) -> None:
+        _store_doc_bits(doc_bits, bits)
+        pending.append(bits)
+        if bits.r1 - pending[0].r0 >= _PICK_ROWS:
+            pick_selfie_anchors()
+
+    _for_each_block(batch, margin, consume)
+    if pending:
+        pick_selfie_anchors()
+    selfie_anchored = len(picks)
+    for r0 in range(0, n, _PICK_ROWS):
+        rows, cols = _pick_packed(doc_bits[r0:r0 + _PICK_ROWS], rng)
+        picks.append((rows + r0, cols))
+
+    s_rows, s_negs = (np.concatenate(x) for x in zip(*picks[:selfie_anchored]))
+    d_rows, d_negs = (np.concatenate(x) for x in zip(*picks[selfie_anchored:]))
     # Selfie anchor: (selfie_i, doc_i, doc_j); doc anchor: (doc_i, selfie_i, selfie_j).
     return (
         np.concatenate([s_rows, n + d_rows]),
@@ -211,20 +404,25 @@ def mine_semi_hard(batch: MiningBatch, margin: float,
 def semi_hard_candidates(batch: MiningBatch, margin: float) -> dict[tuple[int, str], np.ndarray]:
     """Candidate negative slots per (anchor slot, anchor domain).
 
-    Exposed for inspection and testing; built from the same blocked masks
+    Exposed for inspection and testing; unpacked from the same block bits
     mine_semi_hard draws from, so its draws are uniform over exactly these
-    sets. Holds an N x N boolean matrix, so it is meant for small batches.
+    sets. Holds N x N booleans, so it is meant for small batches.
     """
-    selfie_sets: list[np.ndarray] = []
-    doc_masks = []
-    for _, _, selfie_mask, doc_mask in _candidate_blocks(batch, margin):
-        selfie_sets.extend(np.flatnonzero(row) for row in selfie_mask)
-        doc_masks.append(doc_mask)
-    by_anchor = np.concatenate(doc_masks).T
+    n = batch.n
+    selfie_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)  # row = selfie anchor
+    doc_bits = np.zeros_like(selfie_bits)
+
+    def consume(bits: _BlockBits) -> None:
+        selfie_bits[bits.r0:bits.r1] = bits.selfie_bits
+        _store_doc_bits(doc_bits, bits)
+
+    _for_each_block(batch, margin, consume)
+    by_selfie = np.unpackbits(selfie_bits, axis=1, count=n, bitorder="little")
+    by_doc = np.unpackbits(doc_bits, axis=1, count=n, bitorder="little")
     out: dict[tuple[int, str], np.ndarray] = {}
-    for i in range(batch.n):
-        out[(i, "selfie")] = selfie_sets[i]
-        out[(i, "doc")] = np.flatnonzero(by_anchor[i])
+    for i in range(n):
+        out[(i, "selfie")] = np.flatnonzero(by_selfie[i])
+        out[(i, "doc")] = np.flatnonzero(by_doc[i])
     return out
 
 

@@ -119,6 +119,10 @@ class TestSquaredDistance:
         for empty in (same_identity_pairs(a_ids, empty_ids),
                       same_identity_pairs(a_ids, empty_ids, np.arange(2))):
             assert empty[0].size == empty[1].size == 0
+        for b in (np.array([], dtype=np.int64), rng.permutation(60), np.array([7, 7, 7])):
+            want_rows, want_cols = np.nonzero(a_ids[:, None] == b[None, :])
+            rows, cols = same_identity_pairs(a_ids, b)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
     def test_norms_of_a_row_window_equal_its_slice(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtriplet import evaluation
+from fairtriplet import core, evaluation
 from fairtriplet.core import (
     ResolutionError,
     cross_squared_distances,
@@ -563,7 +563,7 @@ class TestThreadedFarMatrix:
 
         count = evaluation._count_far
         monkeypatch.setattr(evaluation, "_count_far", counting)
-        monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, workers))
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, workers))
         for theta in thetas:
             threads.clear()
             matrix = far_matrix(pools, theta)
@@ -577,7 +577,7 @@ class TestThreadedFarMatrix:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_errors_are_those_of_far_counts(self, monkeypatch, workers):
-        monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, workers))
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, workers))
         rng = np.random.default_rng(32)
         # The one-pair pool g1 compares its selfie only with its own doc.
         pools = unequal_pools(rng, sizes=(40, 1, 129))
@@ -613,7 +613,7 @@ class TestThreadedFarMatrix:
         (2, "x", None, None, 1),
     ])
     def test_worker_count_rule(self, monkeypatch, cores, openblas, goto, omp, want):
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity",
+        monkeypatch.setattr(core.os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
         for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("GOTO_NUM_THREADS", goto),
                            ("OMP_NUM_THREADS", omp)):
@@ -621,11 +621,11 @@ class TestThreadedFarMatrix:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert evaluation._matrix_workers(5) == want
+        assert core.worker_threads(5) == want
 
     @pytest.mark.parametrize("openblas, pools_started", [(None, [1]), ("1", [2])])
     def test_far_matrix_starts_threads_by_the_rule(self, monkeypatch, openblas, pools_started):
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity",
+        monkeypatch.setattr(core.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

@@ -1,11 +1,21 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fairtriplet.core import normalize_rows, squared_distance
+from fairtriplet import core, mining
+from fairtriplet.core import (
+    cross_squared_distances,
+    normalize_rows,
+    product_cuts,
+    squared_distance,
+    squared_norms,
+)
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
+from fairtriplet.evaluation import _product_cut
 from fairtriplet.mining import (
+    MINE_BLOCK_ROWS,
     MiningBatch,
     assemble_batch,
     mine_semi_hard,
@@ -325,6 +335,218 @@ class TestBlockedMiner:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+def kernel_block_candidates(batch, margin):
+    """Candidate sets from the distance kernel itself: ``d < limit`` on the
+    same 128-row distance blocks the miner decides on, with the limits from
+    the 128 x 128 diagonal blocks."""
+    selfie, doc, ids, n = batch.selfie_emb, batch.doc_emb, batch.identity_ids, batch.n
+    starts = range(0, n, MINE_BLOCK_ROWS)
+    limit = np.concatenate([
+        np.diagonal(cross_squared_distances(selfie[r0:r0 + MINE_BLOCK_ROWS],
+                                            doc[r0:r0 + MINE_BLOCK_ROWS]))
+        for r0 in starts
+    ]) + margin
+    d = np.vstack([cross_squared_distances(selfie[r0:r0 + MINE_BLOCK_ROWS], doc)
+                   for r0 in starts])
+    other = ids[:, None] != ids[None, :]
+    by_selfie = (d < limit[:, None]) & other
+    by_doc = ((d < limit[None, :]) & other).T
+    out = {}
+    for i in range(n):
+        out[(i, "selfie")] = np.flatnonzero(by_selfie[i])
+        out[(i, "doc")] = np.flatnonzero(by_doc[i])
+    return out
+
+
+def band_batch(n, margin, seed):
+    """Slots whose cross distances sit at the other slots' limits, with row
+    norms spread over about 200 ulps.
+
+    Even slots have selfie e0 and doc at angle a from it; odd slots are the
+    same pair turned by c, chosen so that an even selfie and an odd doc are
+    D_ap^2 + margin apart in exact arithmetic. Rounding then puts those cells
+    on either side of the limit, and between the product cuts of their rows
+    and columns.
+    """
+    rng = np.random.default_rng(seed)
+    a = 0.9
+    c = np.arccos(np.cos(a) - margin / 2) - a
+
+    def at(angle):
+        return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
+
+    odd = np.arange(n) % 2 == 1
+    selfies = np.where(odd[:, None], at(c), at(0.0))
+    docs = np.where(odd[:, None], at(c + a), at(a))
+    eps = np.finfo(np.float64).eps
+    selfies = selfies * (1 + eps * rng.integers(-50, 51, (n, 1)))
+    docs = docs * (1 + eps * rng.integers(-50, 51, (n, 1)))
+    return MiningBatch(
+        pair_indices=np.arange(n),
+        identity_ids=rng.integers(0, n // 2, n).astype(np.int64),
+        groups=np.array(["g"] * n),
+        selfie_features=selfies,
+        doc_features=docs,
+        selfie_emb=selfies,
+        doc_emb=docs,
+    )
+
+
+def band_cells(batch, margin):
+    """Cells whose product lies between their row's or column's two product
+    cuts, on the miner's block products."""
+    selfie, doc = batch.selfie_emb, batch.doc_emb
+    na, nb = squared_norms(selfie), squared_norms(doc)
+    limit = np.concatenate([
+        np.diagonal(cross_squared_distances(selfie[r0:r0 + MINE_BLOCK_ROWS],
+                                            doc[r0:r0 + MINE_BLOCK_ROWS]))
+        for r0 in range(0, batch.n, MINE_BLOCK_ROWS)
+    ]) + margin
+    g = np.vstack([selfie[r0:r0 + MINE_BLOCK_ROWS] @ doc.T
+                   for r0 in range(0, batch.n, MINE_BLOCK_ROWS)])
+    row_sure, row_maybe = (product_cuts(limit, na, x)[:, None] for x in (nb.max(), nb.min()))
+    col_sure, col_maybe = (product_cuts(limit, x, nb)[None, :] for x in (na.max(), na.min()))
+    return int(np.count_nonzero((g > row_maybe) & (g <= row_sure))
+               + np.count_nonzero((g > col_maybe) & (g <= col_sure)))
+
+
+def two_workers(monkeypatch, workers=2):
+    """Mine on ``workers`` threads whatever the batch size, cores and BLAS
+    setting."""
+    monkeypatch.setattr(mining, "worker_threads", lambda n: workers)
+
+
+class TestProductCutMasks:
+    @pytest.mark.parametrize("n", [16, 257, 328, 2048])
+    @pytest.mark.parametrize("duplicate_ids", [False, True])
+    def test_two_workers_pick_as_one_and_as_the_reference(self, monkeypatch, n, duplicate_ids):
+        batch = random_batch(np.random.default_rng(n), n, duplicate_ids=duplicate_ids)
+        rngs = [np.random.default_rng(n + 1) for _ in range(3)]
+        two_workers(monkeypatch, workers=1)
+        one = mine_semi_hard(batch, 0.6, rngs[0])
+        two_workers(monkeypatch)
+        two = mine_semi_hard(batch, 0.6, rngs[1])
+        want = reference_mine(batch, 0.6, rngs[2])
+        assert_same_triplets(one, want)
+        assert_same_triplets(two, want)
+        states = [r.bit_generator.state for r in rngs]
+        assert states[0] == states[1] == states[2]
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        batch = random_batch(np.random.default_rng(12), 1000, duplicate_ids=True)
+        want = mine_semi_hard(batch, 0.6, np.random.default_rng(13))
+        two_workers(monkeypatch, workers=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert_same_triplets(mine_semi_hard(batch, 0.6, np.random.default_rng(13)), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, seed", [(300, 1), (64, 2)])
+    def test_band_cells_decide_as_the_distance_kernel(self, monkeypatch, workers, n, seed):
+        batch = band_batch(n, 0.6, seed)
+        assert band_cells(batch, 0.6) > 0  # the band path is taken
+        two_workers(monkeypatch, workers)
+        got = semi_hard_candidates(batch, 0.6)
+        want = kernel_block_candidates(batch, 0.6)
+        for key in want:
+            assert got[key].tolist() == want[key].tolist(), key
+        # The even selfies and odd docs at the limits fall on both sides.
+        ids = batch.identity_ids
+        odd = np.arange(1, n, 2)
+        hits = sum(np.isin(want[(i, "selfie")], odd).sum() for i in range(0, n, 2))
+        cells = sum(np.count_nonzero(ids[odd] != ids[i]) for i in range(0, n, 2))
+        assert 0 < hits < cells
+
+    @pytest.mark.parametrize("n", [16, 257])
+    def test_candidates_match_the_distance_kernel(self, n):
+        batch = random_batch(np.random.default_rng(n), n, dim=32, duplicate_ids=True)
+        got = semi_hard_candidates(batch, 0.6)
+        want = kernel_block_candidates(batch, 0.6)
+        for key in want:
+            assert got[key].tolist() == want[key].tolist(), key
+
+    @pytest.mark.parametrize("column", ["selfie_emb", "doc_emb"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embeddings_rejected(self, column, value):
+        batch = random_batch(np.random.default_rng(14), 200)
+        getattr(batch, column)[150, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            mine_semi_hard(batch, 0.6, np.random.default_rng(15))
+        with pytest.raises(ValueError, match="finite"):
+            semi_hard_candidates(batch, 0.6)
+
+    @pytest.mark.parametrize("n, openblas, pools_started", [
+        (2048, None, []),    # unpinned BLAS spreads each product over every core
+        (2048, "1", [2]),
+        (1920, "1", []),     # 15 blocks: too few to share
+        (10240, "1", [2]),
+    ])
+    def test_miner_starts_threads_by_the_rule(self, monkeypatch, n, openblas, pools_started):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if openblas is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        started = []
+
+        class Recording(mining.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mining, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(mining, "_block_bits", lambda plan, r0, scratch: mining._BlockBits(
+            r0, min(r0 + MINE_BLOCK_ROWS, n),
+            np.zeros((min(MINE_BLOCK_ROWS, n - r0), mining._packed_width(n)), dtype=np.uint8),
+            np.zeros((n, -(-min(MINE_BLOCK_ROWS, n - r0) // 8)), dtype=np.uint8)))
+        batch = random_batch(np.random.default_rng(19), n)
+        anchors, _, _ = mine_semi_hard(batch, 0.6, np.random.default_rng(20))
+        assert started == pools_started and anchors.size == 0
+
+    def test_byte_table_popcounts_match_bit_counts(self):
+        words = np.random.default_rng(16).integers(0, 2**63, (7, 5), dtype=np.uint64)
+        words[0, 0], words[0, 1] = 0, np.iinfo(np.uint64).max
+        want = [[bin(int(w)).count("1") for w in row] for row in words]
+        assert mining._byte_table_popcounts(words).tolist() == want
+        assert mining._word_popcounts(words).tolist() == want
+
+
+class TestProductCuts:
+    @staticmethod
+    def scalar_cuts(theta, na, nb):
+        return np.array([_product_cut.__wrapped__(float(t), float(a), float(b))
+                         for t, a, b in np.broadcast(theta, na, nb)])
+
+    @pytest.mark.parametrize("theta_range", [(0.0, 4.2), (0.0, 1e-9), (4.0 - 1e-9, 4.0),
+                                             (2.0 - 1e-12, 2.0 + 1e-12)])
+    def test_equal_to_the_scalar_search_near_unit_norms(self, theta_range):
+        rng = np.random.default_rng(17)
+        n = 2000
+        theta = rng.uniform(*theta_range, n)
+        na = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
+        nb = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
+        assert np.array_equal(product_cuts(theta, na, nb), self.scalar_cuts(theta, na, nb))
+
+    def test_equal_to_the_scalar_search_on_wide_and_extreme_inputs(self):
+        rng = np.random.default_rng(18)
+        n = 1500
+        cases = [
+            (rng.uniform(-1, 8, n), rng.uniform(0, 3, n), rng.uniform(0, 3, n)),
+            (rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n)),
+            (rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n)),
+            (np.array([0.0, -1.0, 5e-324, 2.0, np.nextafter(2.0, 3.0), 4.0, 10.0,
+                       np.inf, np.nan]), 1.0, 1.0),
+        ]
+        for theta, na, nb in cases:
+            got = product_cuts(theta, na, nb)
+            want = self.scalar_cuts(theta, na, nb)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestScheduleMinibatches:

@@ -5,7 +5,7 @@ keeps one span stack, so the program must call no wrapped function from a
 worker thread; the traced eval below fails if it does."""
 from pathlib import Path
 
-from fairtriplet import evaluation
+from fairtriplet import evaluation, harness, mining
 from fairtriplet.config import EvalConfig, ExperimentConfig, SamplerConfig
 from fairtriplet.datagen import GeneratorConfig
 from fairtriplet.harness import latest_checkpoint, run_eval, run_training
@@ -38,7 +38,7 @@ def test_threaded_far_matrix_keeps_traced_spans_nested(tmp_path, monkeypatch):
     )
     run_training(cfg)
     # Two matrix threads whatever the host's cores and BLAS setting.
-    monkeypatch.setattr(evaluation, "_matrix_workers", lambda n: min(n, 2))
+    monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, 2))
     tracer = Tracer()
     with traced(tracer):
         run_eval(cfg, latest_checkpoint(cfg.output_dir))
@@ -47,3 +47,33 @@ def test_threaded_far_matrix_keeps_traced_spans_nested(tmp_path, monkeypatch):
     matrix = [i for i, s in enumerate(spans) if s.name == "evaluation.far_matrix"]
     assert len(matrix) == 1
     assert list(descendants(children_index(spans), matrix[0])) == []
+
+
+def test_threaded_miner_keeps_traced_spans_nested(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from analysis import children_index, nesting_problems
+    from tracing import Tracer, traced
+
+    cfg = ExperimentConfig(
+        seed=6,
+        output_dir=str(tmp_path / "run"),
+        data=GeneratorConfig(n_pairs=1500, input_dim=16),
+        training=TrainingConfig(total_steps=2, batch_n=300, minibatch_size=64,
+                                hidden_dims=(16,), embed_dim=8),
+        sampler=SamplerConfig(variant="natural", axis="continent"),
+        eval=EvalConfig(target_far=1e-2, n_eval_pairs=300, group_pool_size=40,
+                        validation_every=2, roc_points=12),
+    )
+    # Two mining threads whatever the batch size, host cores and BLAS setting.
+    monkeypatch.setattr(mining, "worker_threads", lambda n: 2)
+    tracer = Tracer()
+    with traced(tracer):
+        harness.run_training(cfg)  # the wrapped entry point, which closes the last round
+    spans = tracer.spans
+    assert nesting_problems(spans) == []
+    kids = children_index(spans)
+    mines = [i for i, s in enumerate(spans) if s.name == "mining.mine"]
+    assert len(mines) == 2
+    for i in mines:
+        # The three 128 x 128 genuine-distance blocks, all on the calling thread.
+        assert [spans[k].name for k in kids.get(i, ())] == ["core.distance"] * 3
