@@ -54,7 +54,8 @@ class TrainingConfig:
 
 class EmbeddingNetwork:
     """MLP with unit-norm output. ``parameters()`` views one float64 vector,
-    ``params``, as [W0, b0, W1, b1, ...]; change it only in place."""
+    ``params``, as [W0, b0, W1, b1, ...]. Assigning to ``params`` copies the
+    new values into that vector, so the views follow."""
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
                  activation: str = "tanh"):
@@ -64,7 +65,7 @@ class EmbeddingNetwork:
             raise ValueError(f"unknown activation: {activation!r}")
         params = [p for wb in zip(weights, biases) for p in wb]
         self.shapes = [np.shape(p) for p in params]
-        self.params = self.flatten(params)
+        self._params = self.flatten(params)
         self.weights, self.biases = self.parameters()[0::2], self.parameters()[1::2]
         self.activation = activation
 
@@ -79,6 +80,20 @@ class EmbeddingNetwork:
             weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases, activation)
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @params.setter
+    def params(self, values: np.ndarray) -> None:
+        """Copy ``values`` into the parameter vector. An in-place update
+        (``net.params -= step``) assigns the vector to itself, a no-op."""
+        values = np.asarray(values)
+        if values.shape != self._params.shape:
+            raise ValueError(f"parameter vector shape {values.shape} != {self._params.shape}")
+        if values is not self._params:
+            self._params[...] = values
 
     @property
     def input_dim(self) -> int:

@@ -223,6 +223,18 @@ class TestAdam:
                 adam_step(state, net, bad)
         assert np.array_equal(net.params, params) and state.step == step
 
+    def test_rebinding_params_copies_into_the_views(self):
+        a, b = make_net(seed=1), make_net(seed=2)
+        x = np.random.default_rng(3).normal(size=(4, 6))
+        vector = a.params
+        a.params = b.params.copy()
+        assert a.params is vector
+        assert all(np.shares_memory(p, a.params) for p in a.weights + a.biases)
+        assert np.array_equal(a.forward(x), b.forward(x))
+        with pytest.raises(ValueError, match="shape"):
+            a.params = b.params[:-1]
+        assert np.array_equal(a.params, b.params)
+
     def test_lr_schedule_endpoints(self):
         net = make_net()
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 100)
