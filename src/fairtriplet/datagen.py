@@ -305,15 +305,27 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     gender_dir = np.stack([real.gender_directions[g] for g in GENDERS])
     spread_mult = np.array([config.gender_spread[g] for g in GENDERS])
 
-    latents = (
-        country_center[country_idx[root]]
-        + config.gender_offset * gender_dir[hidden_idx[root]]
-        + config.identity_spread * spread_mult[hidden_idx[root], None] * eps_id[root]
-    )
+    # Each n x d stage is built in place, with the operations of
+    # ``center + offset * gender_dir + spread * mult * eps_id``,
+    # ``latents + noise * eps_selfie`` and ``latents @ shift.T + sigma *
+    # eps_doc`` in the same order: IEEE addition and multiplication are
+    # commutative, so the bytes are those of the expressions.
+    hidden = hidden_idx[root]
+    latents = np.take(country_center, country_idx[root], axis=0)
+    term = np.take(gender_dir, hidden, axis=0)
+    term *= config.gender_offset
+    latents += term
+    np.take(eps_id, root, axis=0, out=term)
+    term *= config.identity_spread * spread_mult[hidden, None]
+    latents += term
 
     doc_sigma = np.array([config.doc_noise[c] for c in CONTINENTS])[root_cont_idx]
-    selfies = latents + config.selfie_noise * eps_selfie
-    docs = latents @ real.shift_matrix.T + doc_sigma[:, None] * eps_doc
+    selfies = eps_selfie
+    selfies *= config.selfie_noise
+    selfies += latents
+    docs = np.matmul(latents, real.shift_matrix.T, out=term)
+    eps_doc *= doc_sigma[:, None]
+    docs += eps_doc
 
     return Dataset(
         identity_ids=id_base + root,
