@@ -203,7 +203,7 @@ def _floats_of(keys: np.ndarray) -> np.ndarray:
 
 # Halvings of ``product_cuts``' first bracket, which spans 2**_CUT_STEPS grid
 # steps.
-_CUT_STEPS = 7
+_CUT_STEPS = 6
 
 
 def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarra
     is monotone), so at these norms every product above the cut is accepted
     by ``d < theta`` and every product at or below it is rejected. All
     elements are searched at once, by bisection on a grid. The real root
-    ``(na + nb - theta) / 2`` lies within two ulps of ``|na| + |nb| +
+    ``(na + nb - theta) / 2`` lies within 1.5 ulps of ``|na| + |nb| +
     |theta|`` of the cut, and the distance changes only where one of the
     kernel's roundings does, which is at multiples of a sixteenth of that ulp
     or between neighbouring doubles. So a bracket of 2**_CUT_STEPS such grid
@@ -243,7 +243,7 @@ def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarra
         scale = np.spacing(np.abs(na) + np.abs(nb) + np.abs(theta))
         root = (na + nb - theta) * 0.5
         step = np.maximum(scale / 16, np.spacing(np.abs(root) + 3 * scale))
-        lo = np.floor((root - 2 * scale) / step) * step
+        lo = np.floor((root - 1.5 * scale) / step) * step
         half = step * 2.0 ** (_CUT_STEPS - 1)
         good = np.isfinite(lo) & np.isfinite(half) & holds(lo) & ~holds(lo + 2 * half)
         lo = np.where(good, lo, 0.0)
@@ -253,11 +253,16 @@ def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarra
             half *= 0.5
         hi = lo + step
         up, down = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
-        cut = np.where(holds(up), down, lo)  # a guess checked below
-        good &= (cut == lo) | (holds(down) & ~holds(hi) & (down > lo))
-        # The rest: bisect the keys, from the last step where it checked out.
+        # d(lo) >= theta; the cut is lo or down if the next double fails.
+        at_lo, at_down = ~holds(up), holds(down) & ~holds(hi)
+        cut = np.where(at_lo, lo, down)
+        good &= at_lo | at_down
         todo = np.flatnonzero(~good)
-        fit = np.isfinite(lo[todo]) & (up[todo] <= down[todo]) & ~holds(hi[todo], todo)
+        if todo.size == 0:
+            return cut
+        # The rest: bisect the keys, from the last step where it brackets.
+        fit = (np.isfinite(lo[todo]) & np.isfinite(hi[todo]) & holds(lo[todo], todo)
+               & ~holds(hi[todo], todo))
         lo_key = np.where(fit, _keys_of(lo[todo]), -_INF_KEY)
         hi_key = np.where(fit, _keys_of(hi[todo]), _INF_KEY)
         while todo.size:  # every mid lies strictly inside, so is finite
@@ -288,12 +293,16 @@ def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray,
     if sorted_ids.size == 0:
         count = np.zeros(len(a_ids), dtype=np.int64)
     else:
-        count = (sorted_ids[np.minimum(first, sorted_ids.size - 1)] == a_ids).astype(np.int64)
-        starts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-        if starts.size < sorted_ids.size - 1:  # some id repeats
+        found = np.minimum(first, sorted_ids.size - 1)
+        count = (sorted_ids[found] == a_ids).astype(np.int64)
+        new_id = np.empty(sorted_ids.size + 1, dtype=bool)
+        new_id[0] = new_id[-1] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_id[1:-1])
+        bounds = np.flatnonzero(new_id)
+        if bounds.size <= sorted_ids.size:  # some id repeats
             run = np.zeros(sorted_ids.size, dtype=np.int64)
-            run[np.r_[0, starts]] = np.diff(np.r_[0, starts, sorted_ids.size])
-            count *= run[np.minimum(first, sorted_ids.size - 1)]
+            run[bounds[:-1]] = np.diff(bounds)
+            count *= run[found]
     rows = np.repeat(np.arange(len(a_ids)), count)
     offset = np.repeat(first - (np.cumsum(count) - count), count)
     return rows, by_id[offset + np.arange(rows.size)]

@@ -27,7 +27,7 @@ product and norms. So both orientations' masks are exactly those of
 elementwise passes.
 
 The blocks run on ``worker_threads`` threads (one per eight blocks, up to
-the cores BLAS leaves free), each with a product buffer and masks that the
+the cores BLAS leaves free), each with a product buffer and a mask that the
 calling thread allocates, and at most one block per thread runs ahead of
 the calling thread. Workers pack the selfie anchors' rows to bits and the
 document anchors' columns to bytes; the calling thread takes the blocks in
@@ -69,9 +69,15 @@ from .sampling import SamplerSpec, choose_homogeneous_group, probabilities
 # fills whole bytes of the doc-anchor bit matrix.
 MINE_BLOCK_ROWS = 128
 
-# Anchor rows per pick: one ``_pick_packed`` call draws for the anchors of
-# eight blocks, and holds a cumulative count per word of their rows.
+# Doc-anchor rows per pick: one ``_pick_packed`` call draws for the doc
+# anchors of eight blocks, after the last block, and holds a cumulative count
+# per word of their rows.
 _PICK_ROWS = 8 * MINE_BLOCK_ROWS
+
+# Selfie anchors are picked during the blocks, once their blocks' packed bits
+# reach this size: at N = 10240 after every block, which keeps the round's
+# peak memory low, and at small N after several, which saves calls.
+_PICK_BYTES = 1 << 17
 
 # Blocks per mining thread. A thread's start-up and the hand-off of each
 # block cost about as much as a few blocks of a small batch, so a batch gets
@@ -208,20 +214,18 @@ def _plan(batch: MiningBatch, margin: float) -> _Plan:
 
 
 class _Scratch(NamedTuple):
-    """One worker's block buffers: the product and two boolean masks, padded
-    to whole bytes of rows and to whole packed words of columns (the padding
+    """One worker's block buffers: the product and a boolean mask, padded to
+    whole bytes of rows and to whole packed words of columns (the padding
     stays False)."""
 
     g: np.ndarray
     mask: np.ndarray
-    spare: np.ndarray
 
     @classmethod
     def for_batch(cls, n: int) -> "_Scratch":
         rows = min(MINE_BLOCK_ROWS, n)
         padded = (-(-rows // 8) * 8, _packed_width(n) * 8)
-        return cls(np.empty((rows, n)), np.zeros(padded, dtype=bool),
-                   np.zeros(padded, dtype=bool))
+        return cls(np.empty((rows, n)), np.zeros(padded, dtype=bool))
 
 
 class _BlockBits(NamedTuple):
@@ -235,17 +239,16 @@ class _BlockBits(NamedTuple):
     doc_bits: np.ndarray     # (N, ceil((r1 - r0) / 8))
 
 
-def _decide(g, cuts, theta, na, nb, mask, spare) -> None:
+def _decide(g, cuts, theta, na, nb, mask) -> None:
     """``mask = d(g, na, nb) < theta`` for the kernel's distance d, with
     ``cuts = (sure, maybe)``; every operand but ``g`` broadcasts over it.
     Cells above ``sure`` are accepted and cells at or below ``maybe`` are
     rejected; only the cells between the two, counted first and usually
     none, get the kernel's arithmetic on their own product and norms."""
     sure, maybe = cuts
-    np.greater(g, sure, out=mask)
-    np.greater(g, maybe, out=spare)
-    if np.count_nonzero(spare) > np.count_nonzero(mask):
-        r, c = np.nonzero(np.not_equal(spare, mask, out=spare))
+    n_maybe = np.count_nonzero(np.greater(g, maybe, out=mask))
+    if n_maybe > np.count_nonzero(np.greater(g, sure, out=mask)):
+        r, c = np.nonzero((g > maybe) & ~mask)
 
         def at(x):
             return np.broadcast_to(x, g.shape)[r, c]
@@ -268,16 +271,16 @@ def _block_bits(plan: _Plan, r0: int, scratch: _Scratch) -> _BlockBits:
     r1 = min(r0 + MINE_BLOCK_ROWS, n)
     rows = r1 - r0
     g = np.matmul(plan.selfie[r0:r1], plan.doc.T, out=scratch.g[:rows])
-    mask, spare = scratch.mask[:rows, :n], scratch.spare[:rows, :n]
+    mask = scratch.mask[:rows, :n]
     lo, hi = np.searchsorted(plan.same_rows, (r0, r1))
     same = plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]
     na, nb = plan.na[r0:r1, None], plan.nb[None, :]
 
-    _decide(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask, spare)
+    _decide(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask)
     mask[same] = False
     selfie_bits = np.packbits(scratch.mask[:rows], axis=1, bitorder="little")
 
-    _decide(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask, spare)
+    _decide(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask)
     mask[same] = False
     padded = scratch.mask[:-(-rows // 8) * 8]
     padded[rows:] = False
@@ -331,28 +334,32 @@ def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     """For each row of a packed mask with any set bit, pick one set column
     uniformly. One uniform draw per nonempty row, consumed in row order;
     returns (rows, cols). ``bits`` is C-contiguous with whole uint64 words
-    per row."""
+    per row.
+
+    Every search runs on running totals over the flattened block: the global
+    rank of each pick, then the word holding it, then the byte within that
+    word, then the bit from the byte table."""
     words = bits.view(np.uint64)
     width = words.shape[1]
-    word_counts = _word_popcounts(words)
-    counts = word_counts.sum(axis=1, dtype=np.int64)
+    word_counts = _word_popcounts(words).ravel()
+    cum = np.cumsum(word_counts, dtype=np.int64)
+    row_end = cum[width - 1::width]
+    counts = np.diff(row_end, prepend=0)
     rows = np.flatnonzero(counts)
     if rows.size == 0:
         return rows, rows
     ks = (rng.random(rows.size) * counts[rows]).astype(np.int64)  # k-th set bit, 0-based
-    # Rank of each pick among all set bits of the block, then the word
-    # holding it, then the byte within the word.
-    cum = np.cumsum(word_counts, axis=None, dtype=np.int64)
-    target = cum[rows * width] - word_counts[rows, 0] + ks
-    flat = np.searchsorted(cum, target, side="right")
-    rank = target - (cum[flat] - word_counts.ravel()[flat])
-    word_bytes = bits.reshape(-1, 8)[flat]
+    target = row_end[rows] - counts[rows] + ks
+    word = np.searchsorted(cum, target, side="right")
+    rank = target - (cum[word] - word_counts[word])  # within the word
+    word_bytes = bits.reshape(-1, 8)[word].ravel()
     byte_counts = _POPCOUNT[word_bytes]
-    byte_cum = np.cumsum(byte_counts, axis=1, dtype=np.int64)
-    byte = np.count_nonzero(byte_cum <= rank[:, None], axis=1)
-    picks = np.arange(rows.size)
-    rank -= byte_cum[picks, byte] - byte_counts[picks, byte]
-    cols = (flat - rows * width) * 64 + byte * 8 + _SELECT[word_bytes[picks, byte], rank]
+    byte_cum = np.cumsum(byte_counts, dtype=np.int64)
+    first = np.arange(0, word_bytes.size, 8)
+    target = byte_cum[first] - byte_counts[first] + rank
+    byte = np.searchsorted(byte_cum, target, side="right")
+    rank = target - (byte_cum[byte] - byte_counts[byte])  # within the byte
+    cols = (word - rows * width) * 64 + (byte - first) * 8 + _SELECT[word_bytes[byte], rank]
     return rows, cols
 
 
@@ -380,7 +387,7 @@ def mine_semi_hard(batch: MiningBatch, margin: float,
     def consume(bits: _BlockBits) -> None:
         _store_doc_bits(doc_bits, bits)
         pending.append(bits)
-        if bits.r1 - pending[0].r0 >= _PICK_ROWS:
+        if sum(b.selfie_bits.nbytes for b in pending) >= _PICK_BYTES:
             pick_selfie_anchors()
 
     _for_each_block(batch, margin, consume)
