@@ -213,7 +213,7 @@ def _plan(batch: MiningBatch, margin: float) -> _Plan:
     return _Plan(selfie, doc, na, nb, limit, cuts[:2], cuts[2:], same_rows, same_cols)
 
 
-class _Scratch(NamedTuple):
+class _BlockBuffers(NamedTuple):
     """One worker's block buffers: the product and a boolean mask, padded to
     whole bytes of rows and to whole packed words of columns (the padding
     stays False)."""
@@ -222,7 +222,7 @@ class _Scratch(NamedTuple):
     mask: np.ndarray
 
     @classmethod
-    def for_batch(cls, n: int) -> "_Scratch":
+    def for_batch(cls, n: int) -> "_BlockBuffers":
         rows = min(MINE_BLOCK_ROWS, n)
         padded = (-(-rows // 8) * 8, _packed_width(n) * 8)
         return cls(np.empty((rows, n)), np.zeros(padded, dtype=bool))
@@ -256,7 +256,7 @@ def _decide(g, cuts, theta, na, nb, mask) -> None:
         mask[r, c] = cell_distances(g[r, c], at(na), at(nb)) < at(theta)
 
 
-def _block_bits(plan: _Plan, r0: int, scratch: _Scratch) -> _BlockBits:
+def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     """Both orientations' candidate masks of the selfie rows [r0, r1),
     packed. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for anchor
     selfie_i and ``doc_mask[i - r0, j]`` marks selfie_i as a candidate for
@@ -266,23 +266,23 @@ def _block_bits(plan: _Plan, r0: int, scratch: _Scratch) -> _BlockBits:
     one ``d < limit`` would make on that block's distances. Same-identity
     cells (the diagonal included) are cleared from the round's sort of the
     identity ids rather than an N x N comparison. Runs on worker threads:
-    it writes only to ``scratch`` and to the arrays it returns."""
+    it writes only to ``buffers`` and to the arrays it returns."""
     n = len(plan.doc)
     r1 = min(r0 + MINE_BLOCK_ROWS, n)
     rows = r1 - r0
-    g = np.matmul(plan.selfie[r0:r1], plan.doc.T, out=scratch.g[:rows])
-    mask = scratch.mask[:rows, :n]
+    g = np.matmul(plan.selfie[r0:r1], plan.doc.T, out=buffers.g[:rows])
+    mask = buffers.mask[:rows, :n]
     lo, hi = np.searchsorted(plan.same_rows, (r0, r1))
     same = plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]
     na, nb = plan.na[r0:r1, None], plan.nb[None, :]
 
     _decide(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask)
     mask[same] = False
-    selfie_bits = np.packbits(scratch.mask[:rows], axis=1, bitorder="little")
+    selfie_bits = np.packbits(buffers.mask[:rows], axis=1, bitorder="little")
 
     _decide(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask)
     mask[same] = False
-    padded = scratch.mask[:-(-rows // 8) * 8]
+    padded = buffers.mask[:-(-rows // 8) * 8]
     padded[rows:] = False
     # np.packbits(padded, axis=0, bitorder="little").T without numpy's slow
     # strided packing: bit t of byte b in row j is padded[8b + t, j].
@@ -296,29 +296,29 @@ def _for_each_block(batch: MiningBatch, margin: float, consume) -> None:
     order, on the calling thread.
 
     The blocks are computed on ``worker_threads(#blocks //
-    _BLOCKS_PER_THREAD)`` threads, each with its own ``_Scratch`` allocated
-    here, on the calling thread, and at most one block per thread runs ahead
-    of ``consume``, so the round holds one product buffer per thread. On one
-    thread the blocks run inline.
+    _BLOCKS_PER_THREAD)`` threads, each with its own ``_BlockBuffers``
+    allocated here, on the calling thread, and at most one block per thread
+    runs ahead of ``consume``, so the round holds one product buffer per
+    thread. On one thread the blocks run inline.
     """
     plan = _plan(batch, margin)
     starts = range(0, batch.n, MINE_BLOCK_ROWS)
     workers = worker_threads(len(starts) // _BLOCKS_PER_THREAD)
     if workers <= 1:
-        scratch = _Scratch.for_batch(batch.n)
+        buffers = _BlockBuffers.for_batch(batch.n)
         for r0 in starts:
-            consume(_block_bits(plan, r0, scratch))
+            consume(_block_bits(plan, r0, buffers))
         return
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(_Scratch.for_batch(batch.n))
+        free.put(_BlockBuffers.for_batch(batch.n))
 
     def task(r0: int) -> _BlockBits:
-        scratch = free.get()
+        buffers = free.get()
         try:
-            return _block_bits(plan, r0, scratch)
+            return _block_bits(plan, r0, buffers)
         finally:
-            free.put(scratch)
+            free.put(buffers)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = collections.deque(pool.submit(task, r0) for r0 in starts[:workers])

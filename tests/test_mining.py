@@ -501,7 +501,7 @@ class TestProductCutMasks:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(mining, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(mining, "_block_bits", lambda plan, r0, scratch: mining._BlockBits(
+        monkeypatch.setattr(mining, "_block_bits", lambda plan, r0, buffers: mining._BlockBits(
             r0, min(r0 + MINE_BLOCK_ROWS, n),
             np.zeros((min(MINE_BLOCK_ROWS, n - r0), mining._packed_width(n)), dtype=np.uint8),
             np.zeros((n, -(-min(MINE_BLOCK_ROWS, n - r0) // 8)), dtype=np.uint8)))
