@@ -275,6 +275,36 @@ def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarra
         return cut
 
 
+def decide_below(g: np.ndarray, cuts, theta, na, nb, out: np.ndarray) -> int:
+    """Fill the boolean ``out`` with ``d < theta`` for the kernel's distance
+    ``d`` of product ``g`` at squared norms ``na``, ``nb``, and return the
+    number of accepted cells. ``cuts = (sure, maybe)`` are the
+    ``product_cuts`` of ``theta`` at the largest and the smallest norms the
+    cells have; every operand but ``g`` broadcasts over it.
+
+    The distance never decreases as a norm grows, so a cell above ``sure`` is
+    accepted and a cell at or below ``maybe`` is rejected; only the cells
+    between the two (usually none) get the kernel's arithmetic on their own
+    product and norms. A NaN ``theta`` has the cuts -inf, which accept every
+    cell, so callers reject it first.
+    """
+    sure, maybe = cuts
+    n_maybe = int(np.count_nonzero(np.greater(g, maybe, out=out)))
+    if n_maybe == 0:
+        return 0
+    accepted = int(np.count_nonzero(np.greater(g, sure, out=out)))
+    if n_maybe > accepted:
+        r, c = np.nonzero((g > maybe) & ~out)
+
+        def at(x):
+            return np.broadcast_to(x, g.shape)[r, c]
+
+        band = cell_distances(g[r, c], at(na), at(nb)) < at(theta)
+        out[r, c] = band
+        accepted += int(np.count_nonzero(band))
+    return accepted
+
+
 def same_identity_pairs(a_ids: np.ndarray, b_ids: np.ndarray,
                         b_order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` of every cell with ``a_ids[row] == b_ids[col]``, in

@@ -14,19 +14,22 @@ Conventions, fixed across the whole toolkit and its file formats:
   on the products of the same tiles, so a threshold calibrated here counts
   exactly there.
 
-``far_matrix`` prepares each pool's two sides once and counts its selfie
-pools (matrix rows) on up to one thread per core that BLAS leaves free
-(``core.worker_threads``). Every cell is an integer count on the same tiles
-whichever thread computes it, so the matrix does not depend on the thread
-count.
+Counting decides ``d < theta`` on each tile's raw product with
+``core.decide_below``, the rule the miner decides its candidates by.
+``far_counts``, ``per_group_far`` and ``far_matrix`` each take the product
+cuts of every comparison they count from one ``core.product_cuts`` call on
+the calling thread. ``far_matrix`` prepares each pool's two sides once and
+counts its selfie pools (matrix rows) on up to one thread per core that
+BLAS leaves free (``core.worker_threads``). Every cell is an integer count
+on the same tiles whichever thread computes it, so the matrix does not
+depend on the thread count.
 """
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -36,8 +39,9 @@ from .core import (
     GENDERS,
     ResolutionError,
     assert_unit_rows,
-    cell_distances,
     cross_squared_distances,
+    decide_below,
+    product_cuts,
     same_identity_pairs,
     squared_norms,
     worker_threads,
@@ -158,59 +162,32 @@ def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
         yield lo, d[lo - rows.start:]
 
 
-def _cell_distance(g: float, na: float, nb: float) -> float:
-    """The kernel's arithmetic for one cell of product ``g`` and squared norms
-    ``na``, ``nb``: ``max(fl(fl(na - 2g) + nb), 0)``. Python floats round as
-    numpy's float64 ufuncs do."""
-    return max(na - 2.0 * g + nb, 0.0)
-
-
-# Ordered keys of the doubles: the key order is the float order, -0.0 and
-# +0.0 share key 0, and -inf and +inf sit one key beyond the finite range.
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<Q")
-_INF_KEY = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
-
-
-def _float_of_key(key: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else -key | 1 << 63))[0]
-
-
-@lru_cache(maxsize=4096)
-def _product_cut(theta: float, na: float, nb: float) -> float:
-    """Largest finite product ``g`` whose ``_cell_distance(g, na, nb)`` is
-    still >= theta, or -inf when there is none.
-
-    The distance never increases as ``g`` grows (round-to-nearest addition is
-    monotone), so at these norms every product above the cut is accepted and
-    every product at or below it is rejected. Bisects over the keys of the
-    finite doubles: at most 64 steps, one distance each. Memoised: unit rows
-    give few distinct extreme norms, so the calls of one threshold repeat the
-    same few keys.
-    """
-    lo, hi = -_INF_KEY, _INF_KEY  # d(-inf) >= theta, d(+inf) = 0 < theta
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _cell_distance(_float_of_key(mid), na, nb) >= theta:
-            lo = mid
-        else:
-            hi = mid
-    return _float_of_key(lo)
-
-
 class _Side(NamedTuple):
     """One side of a comparison, prepared for counting: float64 rows, their
-    identity ids, the ids' stable sort order and the rows' squared norms."""
+    identity ids, the ids' stable sort order, the rows' squared norms and the
+    largest and smallest of them (-inf and inf for no rows)."""
 
     emb: np.ndarray
     ids: np.ndarray
     id_order: np.ndarray
     norms: np.ndarray
+    extremes: tuple[float, float]
 
 
 def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
     emb = np.asarray(emb, dtype=np.float64)
-    return _Side(emb, ids, np.argsort(ids, kind="stable"), squared_norms(emb))
+    norms = squared_norms(emb)
+    return _Side(emb, ids, np.argsort(ids, kind="stable"), norms,
+                 (norms.max(initial=-np.inf), norms.min(initial=np.inf)))
+
+
+def _cuts(pairs: list[tuple[_Side, _Side]], theta: float) -> np.ndarray:
+    """The ``(sure, maybe)`` product cuts of theta for each (selfie, doc)
+    pair of sides, one row per pair, from one ``core.product_cuts`` call:
+    ``sure`` at both sides' largest norms and ``maybe`` at their smallest."""
+    na = np.array([selfie.extremes for selfie, _ in pairs])
+    nb = np.array([doc.extremes for _, doc in pairs])
+    return product_cuts(theta, na, nb).reshape(-1, 2)
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -219,21 +196,22 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     """(accepted impostor comparisons, impostor comparisons) at theta.
 
     Decides each cell on the raw product ``g = selfie . doc`` of the row tiles
-    of ``_tile_windows``, without forming its distance. The distance never
-    decreases as a norm grows, so the cut of ``_product_cut`` at the largest
-    norms (``sure``) accepts every cell above it and the cut at the smallest
-    norms (``maybe``) rejects every cell at or below it. Only the cells in
-    between, and the same-identity cells (found once per call from a sort of
-    the doc ids) that are taken out of the count, get the kernel's arithmetic
-    on their own product and norms. Tiles keep their shapes, so every
-    product, and with it every decision, is that of the distance tiles.
+    of ``_tile_windows``, without forming its distance, by
+    ``core.decide_below`` with the product cuts of theta at the sides'
+    extreme norms. The same-identity cells (found once per call from a sort
+    of the doc ids) are taken out of the count where the tile's mask accepts
+    them. Tiles keep their shapes, so every product, and with it every
+    decision, is that of the distance tiles.
     """
-    return _count_far(_side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids), theta)
+    pair = _side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids)
+    return _count_far(*pair, _cuts([pair], theta)[0], theta)
 
 
-def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
-    """``far_counts`` on prepared sides. Allocates its own tile buffers, so
-    calls on different threads share nothing they write."""
+def _count_far(selfie: _Side, doc: _Side, cuts: np.ndarray,
+               theta: float) -> tuple[int, int]:
+    """``far_counts`` on prepared sides with their ``_cuts``. Allocates its
+    own tile buffers, so calls on different threads share nothing they
+    write."""
     same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids, doc.id_order)
     comparisons = len(selfie.emb) * len(doc.emb) - same_rows.size
     if comparisons == 0:
@@ -243,31 +221,18 @@ def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
     na, nb = selfie.norms, doc.norms
     if not (np.isfinite(na).all() and np.isfinite(nb).all()):
         raise ValueError("embeddings must be finite")
-    sure = _product_cut(theta, float(na.max()), float(nb.max()))
-    maybe = _product_cut(theta, float(na.min()), float(nb.min()))
     height = min(_TILE_ROWS, len(selfie.emb))
     buf = np.empty((height, len(doc.emb)))
-    maybe_buf = np.empty((height, len(doc.emb)), dtype=bool)
-    sure_buf = np.empty_like(maybe_buf)
+    mask_buf = np.empty((height, len(doc.emb)), dtype=bool)
     accepted = 0
     for lo, rows in _tile_windows(len(selfie.emb)):
         g = np.matmul(selfie.emb[rows], doc.emb.T, out=buf)[lo - rows.start:]
-        maybe_mask = np.greater(g, maybe, out=maybe_buf[:len(g)])
-        n_maybe = int(np.count_nonzero(maybe_mask))
-        if n_maybe == 0:
-            continue  # every cell of the tile is rejected
-        sure_mask = np.greater(g, sure, out=sure_buf[:len(g)])
-        n_sure = int(np.count_nonzero(sure_mask))
-        accepted += n_sure
-        if n_maybe > n_sure:
-            band = np.not_equal(maybe_mask, sure_mask, out=maybe_mask)
-            r, c = np.divmod(np.flatnonzero(band), len(doc.emb))
-            d = cell_distances(g[r, c], na[lo + r], nb[c])
-            accepted += int(np.count_nonzero(d < theta))
-        a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
-        r, c = same_rows[a:b], same_cols[a:b]
-        d = cell_distances(g[r - lo, c], na[r], nb[c])
-        accepted -= int(np.count_nonzero(d < theta))
+        mask = mask_buf[:len(g)]
+        n_accepted = decide_below(g, cuts, theta, na[lo:lo + len(g), None], nb, mask)
+        if n_accepted:
+            a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
+            same = mask[same_rows[a:b] - lo, same_cols[a:b]]
+            accepted += n_accepted - int(np.count_nonzero(same))
     return accepted, comparisons
 
 
@@ -385,9 +350,10 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
     k = len(groups)
     selfies = [_side(pools[g].selfie_emb, pools[g].identity_ids) for g in groups]
     docs = [_side(pools[g].doc_emb, pools[g].identity_ids) for g in groups]
+    cuts = _cuts([(s, d) for s in selfies for d in docs], theta).reshape(k, k, 2)
 
     def row(i: int) -> list[tuple[int, int]]:
-        return [_count_far(selfies[i], doc, theta) for doc in docs]
+        return [_count_far(selfies[i], doc, cut, theta) for doc, cut in zip(docs, cuts[i])]
 
     with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
         rows = list(pool.map(row, range(k)))
@@ -403,8 +369,12 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
 
 
 def per_group_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:
-    """Within-group FAR per pool at a shared threshold."""
-    return {g: far(pool, theta) for g, pool in pools.items()}
+    """Within-group FAR per pool at a shared threshold: ``far`` of each
+    pool, with every pool's cuts from one search."""
+    pairs = [(_side(p.selfie_emb, p.identity_ids), _side(p.doc_emb, p.identity_ids))
+             for p in pools.values()]
+    counts = (_count_far(*pair, cuts, theta) for pair, cuts in zip(pairs, _cuts(pairs, theta)))
+    return {g: accepted / comparisons for g, (accepted, comparisons) in zip(pools, counts)}
 
 
 def per_group_frr(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:

@@ -279,6 +279,8 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 adam_step(opt, net, grads)
                 losses.append(loss)
             loss_buffer.append(float(np.mean(losses)) if losses else 0.0)
+            # Free the round's arrays before the next round's mining, its peak.
+            del batch, triplets, minibatches, features
 
             at_validation = (
                 step % cfg.eval.validation_every == 0 or step == tcfg.total_steps

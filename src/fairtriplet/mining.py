@@ -19,12 +19,13 @@ inside that block. The slots' limits D_ap^2 + margin come from the kernel on
 the 128 x 128 diagonal blocks. ``core.product_cuts`` turns each limit into
 product cuts once per round: per selfie anchor (row) at its own norm and
 the documents' extreme norms, and per document anchor (column) at its own
-norm and the selfies' extreme norms. A cell above its ``sure`` cut is a
-candidate and a cell at or below its ``maybe`` cut is not; only the cells
-between the two (usually none) get the kernel's arithmetic on their own
-product and norms. So both orientations' masks are exactly those of
-``d < limit`` on the distance blocks, with none of the kernel's
-elementwise passes.
+norm and the selfies' extreme norms. ``core.decide_below``, the rule
+``evaluation.far_counts`` counts FAR by, decides each orientation's mask
+from them: a cell above its ``sure`` cut is a candidate and a cell at or
+below its ``maybe`` cut is not; only the cells between the two (usually
+none) get the kernel's arithmetic on their own product and norms. So both
+orientations' masks are exactly those of ``d < limit`` on the distance
+blocks, with none of the kernel's elementwise passes.
 
 The blocks run on ``worker_threads`` threads (one per eight blocks, up to
 the cores BLAS leaves free), each with a product buffer and a mask that the
@@ -55,8 +56,8 @@ import numpy as np
 
 from .core import (
     Dataset,
-    cell_distances,
     cross_squared_distances,
+    decide_below,
     product_cuts,
     same_identity_pairs,
     squared_norms,
@@ -239,23 +240,6 @@ class _BlockBits(NamedTuple):
     doc_bits: np.ndarray     # (N, ceil((r1 - r0) / 8))
 
 
-def _decide(g, cuts, theta, na, nb, mask) -> None:
-    """``mask = d(g, na, nb) < theta`` for the kernel's distance d, with
-    ``cuts = (sure, maybe)``; every operand but ``g`` broadcasts over it.
-    Cells above ``sure`` are accepted and cells at or below ``maybe`` are
-    rejected; only the cells between the two, counted first and usually
-    none, get the kernel's arithmetic on their own product and norms."""
-    sure, maybe = cuts
-    n_maybe = np.count_nonzero(np.greater(g, maybe, out=mask))
-    if n_maybe > np.count_nonzero(np.greater(g, sure, out=mask)):
-        r, c = np.nonzero((g > maybe) & ~mask)
-
-        def at(x):
-            return np.broadcast_to(x, g.shape)[r, c]
-
-        mask[r, c] = cell_distances(g[r, c], at(na), at(nb)) < at(theta)
-
-
 def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     """Both orientations' candidate masks of the selfie rows [r0, r1),
     packed. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for anchor
@@ -276,11 +260,11 @@ def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     same = plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]
     na, nb = plan.na[r0:r1, None], plan.nb[None, :]
 
-    _decide(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask)
+    decide_below(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask)
     mask[same] = False
     selfie_bits = np.packbits(buffers.mask[:rows], axis=1, bitorder="little")
 
-    _decide(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask)
+    decide_below(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask)
     mask[same] = False
     padded = buffers.mask[:-(-rows // 8) * 8]
     padded[rows:] = False

@@ -1,20 +1,27 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fairtriplet import core
 from fairtriplet.core import (
     CONTINENTS,
     COUNTRIES,
     TAXONOMY_HASH,
     Dataset,
     assert_unit_rows,
+    cell_distances,
     continent_of,
     countries_in,
     cross_squared_distances,
+    decide_below,
     normalize,
     normalize_rows,
+    product_cuts,
     same_identity_pairs,
     squared_distance,
     squared_norms,
@@ -135,6 +142,153 @@ class TestSquaredDistance:
             for stop in range(height, n + 1, 7):
                 window = slice(stop - height, stop)
                 assert squared_norms(x[window]).tobytes() == whole[window].tobytes()
+
+
+# The reference cut search: a scalar bisection over the ordered keys of the
+# doubles, one kernel distance per step, in plain Python floats (which round
+# as numpy's float64 ufuncs do). The key order is the float order, -0.0 and
+# +0.0 share key 0, and -inf and +inf sit one key beyond the finite range.
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_INF_KEY = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
+
+
+def _float_of_key(key: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(key if key >= 0 else -key | 1 << 63))[0]
+
+
+def _cell_distance(g: float, na: float, nb: float) -> float:
+    """The kernel's arithmetic for one cell: ``max(fl(fl(na - 2g) + nb), 0)``."""
+    return max(na - 2.0 * g + nb, 0.0)
+
+
+def scalar_cut(theta: float, na: float, nb: float) -> float:
+    """Largest finite product whose ``_cell_distance`` is still >= theta, or
+    -inf when there is none, in at most 64 steps."""
+    lo, hi = -_INF_KEY, _INF_KEY  # d(-inf) >= theta, d(+inf) = 0 < theta
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cell_distance(_float_of_key(mid), na, nb) >= theta:
+            lo = mid
+        else:
+            hi = mid
+    return _float_of_key(lo)
+
+
+def scalar_cuts(theta, na, nb) -> np.ndarray:
+    return np.array([scalar_cut(float(t), float(a), float(b))
+                     for t, a, b in np.broadcast(theta, na, nb)])
+
+
+class TestProductCuts:
+    def test_cut_is_the_last_product_at_or_above_theta(self):
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        cases = [
+            (1.0, 1.0, 2.0),             # theta = na + nb: the root sits at g = 0
+            (up, down, up + down),
+            (1.0, 1.0, np.nextafter(2.0, 3.0)),  # just below g = 0
+            (1.0, 1.0, 1e-300),
+            (up, up, 0.5),
+            (down, down, 3.999),
+            (1.0, 1.0, 4.0),
+            (1.0, 1.0, 10.0),            # above every distance of unit rows
+        ]
+        na, nb, theta = (np.array(x) for x in zip(*cases))
+        cuts = product_cuts(theta, na, nb)
+        assert np.array_equal(cuts, scalar_cuts(theta, na, nb))
+        assert np.isfinite(cuts).all()
+        assert (cell_distances(cuts, na, nb) >= theta).all()
+        assert (cell_distances(np.nextafter(cuts, np.inf), na, nb) < theta).all()
+        assert product_cuts(2.0, 1.0, 1.0)[0] >= 0.0
+        assert product_cuts(np.nextafter(2.0, 3.0), 1.0, 1.0)[0] < 0.0
+        keys = core._floats_of(np.array([-1, 0, 1]))
+        assert keys.tolist() == [-5e-324, 0.0, 5e-324] and not np.signbit(keys[1])
+        assert core._floats_of(np.array([core._INF_KEY, -core._INF_KEY])).tolist() == [
+            np.inf, -np.inf]
+        assert core._INF_KEY == _INF_KEY
+        assert [_float_of_key(k) for k in (-1, 0, 1, _INF_KEY)] == [
+            -5e-324, 0.0, 5e-324, np.inf]
+
+    @pytest.mark.parametrize("theta_range", [(0.0, 4.2), (0.0, 1e-9), (4.0 - 1e-9, 4.0),
+                                             (2.0 - 1e-12, 2.0 + 1e-12)])
+    def test_equal_to_the_scalar_search_near_unit_norms(self, theta_range):
+        rng = np.random.default_rng(17)
+        n = 2000
+        theta = rng.uniform(*theta_range, n)
+        na = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
+        nb = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
+        assert np.array_equal(product_cuts(theta, na, nb), scalar_cuts(theta, na, nb))
+
+    def test_equal_to_the_scalar_search_on_wide_and_extreme_inputs(self):
+        rng = np.random.default_rng(18)
+        n = 1500
+        cases = [
+            (rng.uniform(-1, 8, n), rng.uniform(0, 3, n), rng.uniform(0, 3, n)),
+            (rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n)),
+            (rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n)),
+            (np.array([0.0, -1.0, 5e-324, 2.0, np.nextafter(2.0, 3.0), 4.0, 10.0,
+                       np.inf, np.nan]), 1.0, 1.0),
+        ]
+        for theta, na, nb in cases:
+            got = product_cuts(theta, na, nb)
+            want = scalar_cuts(theta, na, nb)
+            assert np.array_equal(got, want, equal_nan=True)
+        # A NaN threshold has no cut: callers must reject it before deciding.
+        assert product_cuts(np.nan, 1.0, 1.0)[0] == -np.inf
+
+
+def band_rows(rng, n, n_dirs=6, dim=8, max_ulps=300):
+    """Rows from a few shared directions, each scaled off unit norm by up to
+    ``max_ulps`` ulp, so that many cells of their product tie in direction
+    but differ in norm: their products fall between the cuts."""
+    dirs = normalize_rows(rng.normal(size=(n_dirs, dim)))
+    scale = 1.0 + np.finfo(np.float64).eps * rng.integers(-max_ulps, max_ulps + 1, (n, 1))
+    return dirs[rng.integers(0, n_dirs, n)] * scale
+
+
+class TestDecideBelow:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mask_is_the_kernel_decision(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = band_rows(rng, 70), band_rows(rng, 90)
+        g = a @ b.T
+        na, nb = squared_norms(a)[:, None], squared_norms(b)[None, :]
+        d = cell_distances(g, na, nb)
+        out = np.empty(g.shape, dtype=bool)
+        band = 0
+
+        def check(cuts, theta):
+            nonlocal band
+            sure, maybe = cuts
+            band += np.count_nonzero((g > maybe) & (g <= sure))
+            accepted = decide_below(g, cuts, theta, na, nb, out)
+            want = d < theta
+            assert np.array_equal(out, want)
+            assert accepted == np.count_nonzero(want)
+
+        # One threshold for every cell, at the extremes of both sides' norms.
+        for theta in (*rng.choice(d.ravel(), 12), 0.0, 1e-300, 4.5):
+            check(np.stack([product_cuts(theta, na.max(), nb.max()),
+                            product_cuts(theta, na.min(), nb.min())]), theta)
+        # Per row, at the row's own norm (the miner's selfie anchors) ...
+        theta = d[np.arange(len(a)), rng.integers(0, len(b), len(a))][:, None]
+        check(np.stack([product_cuts(theta, na, nb.max()),
+                        product_cuts(theta, na, nb.min())]).reshape(2, -1, 1), theta)
+        # ... and per column, at the column's own norm (its doc anchors).
+        theta = d[rng.integers(0, len(a), len(b)), np.arange(len(b))][None, :]
+        check(np.stack([product_cuts(theta, na.max(), nb),
+                        product_cuts(theta, na.min(), nb)]).reshape(2, 1, -1), theta)
+        assert band > 0  # the cells between the cuts were decided by the kernel
+
+    def test_nothing_above_maybe_returns_at_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a, b = band_rows(rng, 20), band_rows(rng, 30)
+        g = a @ b.T
+        out = np.ones(g.shape, dtype=bool)
+        calls = []
+        monkeypatch.setattr(core, "cell_distances", lambda *args: calls.append(args))
+        assert decide_below(g, (np.inf, np.inf), 1.0, 1.0, 1.0, out) == 0
+        assert not out.any() and calls == []
 
 
 class TestAssertUnitRows:

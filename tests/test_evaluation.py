@@ -330,43 +330,6 @@ class TestProductCuts:
         assert want[-1] == impostor.size and want[-2] == impostor.size
         assert far_counts(selfie, selfie_ids, doc, doc_ids, top)[0] < impostor.size
 
-    def test_cut_is_the_last_product_at_or_above_theta(self, monkeypatch):
-        calls = []
-
-        def counting(g, na, nb):
-            calls.append(g)
-            return distance(g, na, nb)
-
-        distance = evaluation._cell_distance
-        monkeypatch.setattr(evaluation, "_cell_distance", counting)
-        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
-        cases = [
-            (1.0, 1.0, 2.0),             # theta = na + nb: the root sits at g = 0
-            (up, down, up + down),
-            (1.0, 1.0, np.nextafter(2.0, 3.0)),  # just below g = 0
-            (1.0, 1.0, 1e-300),
-            (up, up, 0.5),
-            (down, down, 3.999),
-            (1.0, 1.0, 4.0),
-            (1.0, 1.0, 10.0),            # above every distance of unit rows
-        ]
-        evaluation._product_cut.cache_clear()
-        for na, nb, theta in cases:
-            calls.clear()
-            cut = evaluation._product_cut.__wrapped__(theta, na, nb)  # uncached
-            assert len(calls) <= 64, (na, nb, theta)
-            for _ in range(2):  # a miss, then a hit
-                assert evaluation._product_cut(theta, na, nb) == cut
-            assert np.isfinite(cut)
-            assert distance(cut, na, nb) >= theta
-            assert distance(float(np.nextafter(cut, np.inf)), na, nb) < theta
-        assert evaluation._product_cut(2.0, 1.0, 1.0) >= 0.0
-        assert evaluation._product_cut(float(np.nextafter(2.0, 3.0)), 1.0, 1.0) < 0.0
-        keys = [evaluation._float_of_key(k) for k in (-1, 0, 1)]
-        assert keys == [-5e-324, 0.0, 5e-324] and np.signbit(keys[1]) == 0
-        assert evaluation._float_of_key(evaluation._INF_KEY) == np.inf
-        assert evaluation._float_of_key(-evaluation._INF_KEY) == -np.inf
-
     def test_non_finite_embeddings_rejected(self):
         rng = np.random.default_rng(26)
         selfie = normalize_rows(rng.normal(size=(10, 4)))
@@ -644,6 +607,75 @@ class TestThreadedFarMatrix:
         pools = unequal_pools(np.random.default_rng(33), sizes=(20, 30, 40))
         far_matrix(pools, 1.0)
         assert started == pools_started
+
+
+class TestCutsPerCall:
+    """``far_counts``, ``per_group_far`` and ``far_matrix`` take every cut
+    from one ``core.product_cuts`` call on the calling thread and decide
+    with ``core.decide_below``."""
+
+    @staticmethod
+    def off_unit_pools(rng, sizes=(2, 127, 129, 300)):
+        pools = unequal_pools(rng, sizes=sizes)
+        for pool in pools.values():  # spread the norms so the pools' cuts differ
+            for emb in (pool.selfie_emb, pool.doc_emb):
+                emb[:] = scale_rows_off_unit(rng, emb, fraction=0.5, max_ulps=40)
+        return pools
+
+    def test_per_group_far_equals_per_pool_far_counts_bit_for_bit(self):
+        pools = self.off_unit_pools(np.random.default_rng(34))
+        big = pools["g3"]
+        tile = cross_squared_distances(big.selfie_emb, big.doc_emb)
+        for theta in (*tile[::37, ::41].ravel().tolist(), 0.0, 4.1, np.nan):
+            got = per_group_far(pools, theta)
+            assert list(got) == list(pools)
+            for g, pool in pools.items():
+                a, c = far_counts(pool.selfie_emb, pool.identity_ids,
+                                  pool.doc_emb, pool.identity_ids, theta)
+                assert np.float64(got[g]).tobytes() == np.float64(a / c).tobytes(), (g, theta)
+
+    def test_one_search_per_call_on_the_calling_thread(self, monkeypatch):
+        pools = self.off_unit_pools(np.random.default_rng(35))
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, 2))
+        calls = []
+
+        def counting(theta, na, nb):
+            calls.append((threading.get_ident(), np.broadcast(theta, na, nb).size))
+            return search(theta, na, nb)
+
+        search = evaluation.product_cuts
+        monkeypatch.setattr(evaluation, "product_cuts", counting)
+        me = threading.get_ident()
+        pool = pools["g2"]
+        far_counts(pool.selfie_emb, pool.identity_ids, pool.doc_emb, pool.identity_ids, 1.0)
+        assert calls == [(me, 2)]
+        calls.clear()
+        per_group_far(pools, 1.0)
+        assert calls == [(me, 2 * len(pools))]
+        calls.clear()
+        far_matrix(pools, 1.0)
+        assert calls == [(me, 2 * len(pools) ** 2)]
+
+    def test_nan_theta_accepts_nothing(self):
+        pools = self.off_unit_pools(np.random.default_rng(36))
+        pool = pools["g3"]
+        accepted, comparisons = far_counts(pool.selfie_emb, pool.identity_ids,
+                                           pool.doc_emb, pool.identity_ids, np.nan)
+        assert accepted == 0 and comparisons > 0
+        assert per_group_far(pools, np.nan) == {g: 0.0 for g in pools}
+        matrix = far_matrix(pools, np.nan)
+        assert not matrix.accepted.any() and matrix.comparisons.all()
+
+    def test_empty_side_has_no_impostor_comparisons(self):
+        rng = np.random.default_rng(37)
+        pools = unequal_pools(rng, sizes=(40, 0, 30))
+        full, empty = pools["g0"], pools["g1"]
+        for selfie, doc in ((full, empty), (empty, full), (empty, empty)):
+            with pytest.raises(ValueError, match="^no impostor comparisons available$"):
+                far_counts(selfie.selfie_emb, selfie.identity_ids,
+                           doc.doc_emb, doc.identity_ids, 1.0)
+        with pytest.raises(ValueError, match="^no impostor comparisons available$"):
+            far_matrix(pools, 1.0)
 
 
 class TestRoc:

@@ -13,7 +13,6 @@ from fairtriplet.core import (
     squared_norms,
 )
 from fairtriplet.datagen import GeneratorConfig, generate_dataset
-from fairtriplet.evaluation import _product_cut
 from fairtriplet.mining import (
     MINE_BLOCK_ROWS,
     MiningBatch,
@@ -515,38 +514,6 @@ class TestProductCutMasks:
         want = [[bin(int(w)).count("1") for w in row] for row in words]
         assert mining._byte_table_popcounts(words).tolist() == want
         assert mining._word_popcounts(words).tolist() == want
-
-
-class TestProductCuts:
-    @staticmethod
-    def scalar_cuts(theta, na, nb):
-        return np.array([_product_cut.__wrapped__(float(t), float(a), float(b))
-                         for t, a, b in np.broadcast(theta, na, nb)])
-
-    @pytest.mark.parametrize("theta_range", [(0.0, 4.2), (0.0, 1e-9), (4.0 - 1e-9, 4.0),
-                                             (2.0 - 1e-12, 2.0 + 1e-12)])
-    def test_equal_to_the_scalar_search_near_unit_norms(self, theta_range):
-        rng = np.random.default_rng(17)
-        n = 2000
-        theta = rng.uniform(*theta_range, n)
-        na = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
-        nb = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
-        assert np.array_equal(product_cuts(theta, na, nb), self.scalar_cuts(theta, na, nb))
-
-    def test_equal_to_the_scalar_search_on_wide_and_extreme_inputs(self):
-        rng = np.random.default_rng(18)
-        n = 1500
-        cases = [
-            (rng.uniform(-1, 8, n), rng.uniform(0, 3, n), rng.uniform(0, 3, n)),
-            (rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n), rng.uniform(0, 1e-300, n)),
-            (rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n), rng.uniform(0, 1e308, n)),
-            (np.array([0.0, -1.0, 5e-324, 2.0, np.nextafter(2.0, 3.0), 4.0, 10.0,
-                       np.inf, np.nan]), 1.0, 1.0),
-        ]
-        for theta, na, nb in cases:
-            got = product_cuts(theta, na, nb)
-            want = self.scalar_cuts(theta, na, nb)
-            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestScheduleMinibatches:
