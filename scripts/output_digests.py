@@ -8,12 +8,11 @@ writes into its own directory under one temporary directory (or --out), and
 the script prints one line per output file, `<sha256>  <run>/<path>`, sorted
 by path. timings.json holds wall-clock times, so it is the one file skipped.
 
-Two checkouts wrote byte-identical outputs when their lines are equal:
+Run it in two checkouts and compare what they print; equal lines mean
+byte-identical outputs:
 
-    PYTHONPATH=src python3 scripts/output_digests.py --seed 7 > a.txt
-    PYTHONPATH=src python3 scripts/output_digests.py --seed 7 \\
-        configs/natural.yaml configs/equal.yaml configs/dynamic.yaml \\
-        configs/adjusted.yaml
+    python3 scripts/output_digests.py --seed 7 configs/natural.yaml \\
+        configs/equal.yaml configs/dynamic.yaml configs/adjusted.yaml > digests.txt
 
 Set OPENBLAS_NUM_THREADS=1 before the run to take the threaded side of the
 FAR matrix and the miner (core.worker_threads); leave it unset for the
@@ -31,14 +30,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from fairtriplet.config import load_config  # noqa: E402
-from fairtriplet.harness import (  # noqa: E402
+from fairtriplet.config import load_config
+from fairtriplet.harness import (
     TIMINGS_FILE,
     latest_checkpoint,
     run_eval,
     run_training,
 )
-from workloads import WORKLOADS, build_config  # noqa: E402
+from workloads import WORKLOADS, build_config
 
 
 def run_workload(name: str, seed: int, out: Path) -> None:

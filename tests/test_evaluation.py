@@ -611,8 +611,7 @@ class TestThreadedFarMatrix:
 
 class TestCutsPerCall:
     """``far_counts``, ``per_group_far`` and ``far_matrix`` take every cut
-    from one ``core.product_cuts`` call on the calling thread and decide
-    with ``core.decide_below``."""
+    from one ``core.product_cuts`` call on the calling thread."""
 
     @staticmethod
     def off_unit_pools(rng, sizes=(2, 127, 129, 300)):
