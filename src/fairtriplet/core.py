@@ -150,12 +150,13 @@ def cross_squared_distances(a: np.ndarray, b: np.ndarray,
                             out: np.ndarray | None = None) -> np.ndarray:
     """All-pairs squared Euclidean distances between rows of two matrices.
 
-    Uses the expansion ||a||^2 + ||b||^2 - 2<a,b>, clipped at zero. This is
-    the canonical distance kernel for every batch computation in the toolkit
-    (mining, FAR counting, calibration). A threshold taken from one
-    computation compares exactly in another only when both use the same
-    shape of ``a``: BLAS can round a cell of a taller or shorter product
-    differently, which is why evaluation fixes its row tiles.
+    Uses the expansion ||a||^2 + ||b||^2 - 2<a,b>, clipped at zero:
+    ``cell_distances`` on the product. Calibration reads this canonical
+    kernel; mining and FAR counting read only its products (``decide_below``).
+    A threshold taken from one computation compares exactly in another only
+    when both use the same shape of ``a``: BLAS can round a cell of a taller
+    or shorter product differently, which is why evaluation fixes its row
+    tiles.
 
     A caller that pairs many row blocks of ``a`` with one ``b`` passes
     ``b_norms = squared_norms(b)`` once instead of having it recomputed per
@@ -169,110 +170,54 @@ def cross_squared_distances(a: np.ndarray, b: np.ndarray,
     na = squared_norms(a)
     nb = squared_norms(b) if b_norms is None else b_norms
     d = np.matmul(a, b.T, out=out)
-    d *= -2.0
-    d += na[:, None]
-    d += nb[None, :]
-    np.maximum(d, 0.0, out=d)
-    return d
+    return cell_distances(d, na[:, None], nb[None, :], out=d)
 
 
-def cell_distances(g: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """The kernel's arithmetic on gathered cells of product ``g`` and squared
-    norms ``na``, ``nb``, in its operation order: ``max(fl(fl(na - 2g) + nb), 0)``."""
-    d = g * -2.0
+def cell_distances(g: np.ndarray, na: np.ndarray, nb: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel's arithmetic on products ``g`` and squared norms ``na``,
+    ``nb``, in its operation order: ``max(fl(fl(na - 2g) + nb), 0)``. Given
+    ``out`` (which may be ``g``), it writes the distances there."""
+    d = np.multiply(g, -2.0, out=out)
     d += na
     d += nb
     return np.maximum(d, 0.0, out=d)
 
 
-# Ordered keys of the doubles, as int64: the key order is the float order,
-# -0.0 and +0.0 share key 0, and -inf and +inf sit one key beyond the finite
-# range.
-_SIGN = np.int64(-1 << 63)
-_INF_KEY = int(np.float64(np.inf).view(np.int64))
+# The margin of ``product_cuts``' bracket, in ulps of S = |theta| + |na| +
+# |nb|. Near the real root (na + nb - theta) / 2 the kernel's two roundings
+# move the distance by at most one ulp of S, and the distance moves by 2 per
+# unit of product, so the cut lies within one ulp of S of the root: half for
+# the roundings, half for the step to the next double. The computed root lies
+# within half an ulp of the real one, so 1.5 ulps hold the cut. Four ulps of
+# the computed S are at least two of S even where the sum rounds down across
+# a power of two, which leaves room for the rounding of root +- margin.
+_CUT_ULPS = 4
 
 
-def _keys_of(x: np.ndarray) -> np.ndarray:
-    bits = x.view(np.int64)
-    return np.where(bits < 0, -(bits & ~_SIGN), bits)
+def product_cuts(theta, na_max, nb_max, na_min, nb_min) -> np.ndarray:
+    """``(sure, maybe)``, stacked: a bracket of the cut of ``theta`` for the
+    cells with squared norms in [na_min, na_max] x [nb_min, nb_max].
 
-
-def _floats_of(keys: np.ndarray) -> np.ndarray:
-    return np.where(keys < 0, -keys | _SIGN, keys).view(np.float64)
-
-
-# Halvings of ``product_cuts``' first bracket, which spans 2**_CUT_STEPS grid
-# steps.
-_CUT_STEPS = 6
-
-
-def product_cuts(theta: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """For each element, the largest finite product ``g`` whose kernel
-    distance ``max(fl(fl(na - 2g) + nb), 0)`` is still >= ``theta``, or -inf
-    when there is none.
-
-    The distance never increases as ``g`` grows (round-to-nearest addition
-    is monotone), so at these norms every product above the cut is accepted
-    by ``d < theta`` and every product at or below it is rejected. All
-    elements are searched at once, by bisection on a grid. The real root
-    ``(na + nb - theta) / 2`` lies within 1.5 ulps of ``|na| + |nb| +
-    |theta|`` of the cut, and the distance changes only where one of the
-    kernel's roundings does, which is at multiples of a sixteenth of that ulp
-    or between neighbouring doubles. So a bracket of 2**_CUT_STEPS such grid
-    steps, aligned to the grid, is halved _CUT_STEPS times, and the cut is
-    read off the last step's ends, each checked against its neighbouring
-    double. An element that does not check out (extreme or non-finite
-    inputs) is bisected over the ordered keys of the doubles instead, in at
-    most 64 steps.
+    The cut at norms ``na``, ``nb`` is the largest product whose kernel
+    distance is still >= ``theta``; ``d < theta`` accepts exactly the
+    products above it. It never decreases as a norm grows, so ``sure``, the
+    root ``(na + nb - theta) / 2`` at the largest norms plus ``_CUT_ULPS``
+    ulps, lies at or above every cell's cut, and ``maybe``, the root at the
+    smallest norms minus as much, at or below it. A theta <= 0 or NaN gives
+    (inf, inf), which accepts nothing; a bracket that is not finite gives
+    (inf, -inf), which leaves every cell to the kernel.
     """
-    theta, na, nb = (np.ravel(x).astype(np.float64)
-                     for x in np.broadcast_arrays(theta, na, nb))
-    # max(d, 0) >= theta is d >= theta for theta > 0, and holds for every
-    # finite d otherwise.
-    bound = np.where(theta > 0, theta, -np.inf)
-    bound[np.isnan(theta)] = np.nan
-
-    def holds(g, at=slice(None)):
-        """d(g) >= theta at the elements ``at``, for finite g."""
-        d = g * -2.0
-        d += na[at]
-        d += nb[at]
-        return d >= bound[at]
-
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        scale = np.spacing(np.abs(na) + np.abs(nb) + np.abs(theta))
-        root = (na + nb - theta) * 0.5
-        step = np.maximum(scale / 16, np.spacing(np.abs(root) + 3 * scale))
-        lo = np.floor((root - 1.5 * scale) / step) * step
-        half = step * 2.0 ** (_CUT_STEPS - 1)
-        good = np.isfinite(lo) & np.isfinite(half) & holds(lo) & ~holds(lo + 2 * half)
-        lo = np.where(good, lo, 0.0)
-        for _ in range(_CUT_STEPS):
-            mid = lo + half
-            lo = np.where(holds(mid), mid, lo)
-            half *= 0.5
-        hi = lo + step
-        up, down = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
-        # d(lo) >= theta; the cut is lo or down if the next double fails.
-        at_lo, at_down = ~holds(up), holds(down) & ~holds(hi)
-        cut = np.where(at_lo, lo, down)
-        good &= at_lo | at_down
-        todo = np.flatnonzero(~good)
-        if todo.size == 0:
-            return cut
-        # The rest: bisect the keys, from the last step where it brackets.
-        fit = (np.isfinite(lo[todo]) & np.isfinite(hi[todo]) & holds(lo[todo], todo)
-               & ~holds(hi[todo], todo))
-        lo_key = np.where(fit, _keys_of(lo[todo]), -_INF_KEY)
-        hi_key = np.where(fit, _keys_of(hi[todo]), _INF_KEY)
-        while todo.size:  # every mid lies strictly inside, so is finite
-            mid = (lo_key >> 1) + (hi_key >> 1) + (lo_key & hi_key & 1)  # no overflow
-            ok = holds(_floats_of(mid), todo)
-            lo_key, hi_key = np.where(ok, mid, lo_key), np.where(ok, hi_key, mid)
-            done = hi_key - 1 <= lo_key  # hi_key - lo_key can overflow
-            cut[todo[done]] = _floats_of(lo_key[done])
-            todo, lo_key, hi_key = todo[~done], lo_key[~done], hi_key[~done]
-        return cut
+    theta = np.asarray(theta, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        sure, maybe = ((na + nb - theta) * 0.5
+                       + side * np.spacing(np.abs(theta) + np.abs(na) + np.abs(nb))
+                       for na, nb, side in ((na_max, nb_max, _CUT_ULPS),
+                                            (na_min, nb_min, -_CUT_ULPS)))
+    none, open_ = ~(theta > 0), ~(np.isfinite(sure) & np.isfinite(maybe))
+    return np.stack(np.broadcast_arrays(
+        np.where(none | open_, np.inf, sure),
+        np.where(none, np.inf, np.where(open_, -np.inf, maybe))))
 
 
 def decide_below(g: np.ndarray, cuts, theta, na, nb, out: np.ndarray) -> int:
@@ -285,8 +230,8 @@ def decide_below(g: np.ndarray, cuts, theta, na, nb, out: np.ndarray) -> int:
     The distance never decreases as a norm grows, so a cell above ``sure`` is
     accepted and a cell at or below ``maybe`` is rejected; only the cells
     between the two (usually none) get the kernel's arithmetic on their own
-    product and norms. A NaN ``theta`` has the cuts -inf, which accept every
-    cell, so callers reject it first.
+    product and norms. A NaN ``theta`` has the cuts (inf, inf), which accept
+    nothing, as ``d < theta`` does.
     """
     sure, maybe = cuts
     n_maybe = int(np.count_nonzero(np.greater(g, maybe, out=out)))

@@ -16,9 +16,10 @@ Conventions, fixed across the whole toolkit and its file formats:
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by.
-``far_counts``, ``per_group_far`` and ``far_matrix`` each take the product
-cuts of every comparison they count from one ``core.product_cuts`` call on
-the calling thread. ``far_matrix`` prepares each pool's two sides once and
+``far_counts``, ``per_group_far`` and ``far_matrix`` check that each side's
+embeddings are finite when they prepare it, before any counting, and take
+the bracket of every comparison's product cut, in closed form, from one
+``core.product_cuts`` call on the calling thread. ``far_matrix`` prepares each pool's two sides once and
 counts its selfie pools (matrix rows) on up to one thread per core that
 BLAS leaves free (``core.worker_threads``). Every cell is an integer count
 on the same tiles whichever thread computes it, so the matrix does not
@@ -177,6 +178,8 @@ class _Side(NamedTuple):
 def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
     emb = np.asarray(emb, dtype=np.float64)
     norms = squared_norms(emb)
+    if not np.isfinite(norms).all():
+        raise ValueError("embeddings must be finite")
     return _Side(emb, ids, np.argsort(ids, kind="stable"), norms,
                  (norms.max(initial=-np.inf), norms.min(initial=np.inf)))
 
@@ -185,9 +188,9 @@ def _cuts(pairs: list[tuple[_Side, _Side]], theta: float) -> np.ndarray:
     """The ``(sure, maybe)`` product cuts of theta for each (selfie, doc)
     pair of sides, one row per pair, from one ``core.product_cuts`` call:
     ``sure`` at both sides' largest norms and ``maybe`` at their smallest."""
-    na = np.array([selfie.extremes for selfie, _ in pairs])
-    nb = np.array([doc.extremes for _, doc in pairs])
-    return product_cuts(theta, na, nb).reshape(-1, 2)
+    na_max, na_min = np.array([selfie.extremes for selfie, _ in pairs]).T
+    nb_max, nb_min = np.array([doc.extremes for _, doc in pairs]).T
+    return product_cuts(theta, na_max, nb_max, na_min, nb_min).T
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -219,8 +222,6 @@ def _count_far(selfie: _Side, doc: _Side, cuts: np.ndarray,
     if not theta > 0:
         return 0, comparisons  # no distance is below theta <= 0 (or NaN)
     na, nb = selfie.norms, doc.norms
-    if not (np.isfinite(na).all() and np.isfinite(nb).all()):
-        raise ValueError("embeddings must be finite")
     height = min(_TILE_ROWS, len(selfie.emb))
     buf = np.empty((height, len(doc.emb)))
     mask_buf = np.empty((height, len(doc.emb)), dtype=bool)

@@ -16,10 +16,10 @@ gets only its raw product with every document, ``g = selfie[r0:r1] @
 doc.T``, from the same matmul call and shape as the distance block of the
 canonical kernel ``cross_squared_distances``, so every product is the one
 inside that block. The slots' limits D_ap^2 + margin come from the kernel on
-the 128 x 128 diagonal blocks. ``core.product_cuts`` turns each limit into
-product cuts once per round: per selfie anchor (row) at its own norm and
-the documents' extreme norms, and per document anchor (column) at its own
-norm and the selfies' extreme norms. ``core.decide_below``, the rule
+the 128 x 128 diagonal blocks. ``core.product_cuts`` brackets each limit's
+product cut in closed form once per round: per selfie anchor (row) at its
+own norm and the documents' extreme norms, and per document anchor
+(column) at its own norm and the selfies' extreme norms. ``core.decide_below``, the rule
 ``evaluation.far_counts`` counts FAR by, decides each orientation's mask
 from them: a cell above its ``sure`` cut is a candidate and a cell at or
 below its ``maybe`` cut is not; only the cells between the two (usually
@@ -205,13 +205,10 @@ def _plan(batch: MiningBatch, margin: float) -> _Plan:
     limit = genuine + margin
     na, nb = squared_norms(selfie), squared_norms(doc)
     # A row's cuts take its own norm and the extremes of the other side's.
-    cuts = product_cuts(
-        np.tile(limit, 4),
-        np.concatenate([na, na, np.full(n, na.max()), np.full(n, na.min())]),
-        np.concatenate([np.full(n, nb.max()), np.full(n, nb.min()), nb, nb]),
-    ).reshape(4, n)
+    row_cuts = product_cuts(limit, na, nb.max(), na, nb.min())
+    col_cuts = product_cuts(limit, na.max(), nb, na.min(), nb)
     same_rows, same_cols = same_identity_pairs(batch.identity_ids, batch.identity_ids)
-    return _Plan(selfie, doc, na, nb, limit, cuts[:2], cuts[2:], same_rows, same_cols)
+    return _Plan(selfie, doc, na, nb, limit, row_cuts, col_cuts, same_rows, same_cols)
 
 
 class _BlockBuffers(NamedTuple):

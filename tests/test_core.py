@@ -180,6 +180,25 @@ def scalar_cuts(theta, na, nb) -> np.ndarray:
                      for t, a, b in np.broadcast(theta, na, nb)])
 
 
+def assert_encloses(theta, na, nb):
+    """The bracket of each element's cut at one pair of norms holds the
+    scalar search's cut and spans at most a few ulps of |theta| + |na| +
+    |nb|; a theta <= 0 or NaN has the bracket (inf, inf)."""
+    with np.errstate(all="raise"):
+        sure, maybe = product_cuts(theta, na, nb, na, nb)
+    theta, na, nb = np.broadcast_arrays(theta, na, nb)
+    cut = scalar_cuts(theta, na, nb)
+    positive = theta > 0
+    assert (maybe[positive] <= cut[positive]).all()
+    assert (cut[positive] <= sure[positive]).all()
+    assert (sure[~positive] == np.inf).all() and (maybe[~positive] == np.inf).all()
+    with np.errstate(over="ignore"):
+        ulp = np.spacing(np.abs(theta) + np.abs(na) + np.abs(nb))
+    closed = positive & np.isfinite(sure) & np.isfinite(maybe)
+    assert (sure[closed] - maybe[closed] <= 10 * ulp[closed]).all()
+    return sure, maybe
+
+
 class TestProductCuts:
     def test_cut_is_the_last_product_at_or_above_theta(self):
         up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
@@ -194,32 +213,27 @@ class TestProductCuts:
             (1.0, 1.0, 10.0),            # above every distance of unit rows
         ]
         na, nb, theta = (np.array(x) for x in zip(*cases))
-        cuts = product_cuts(theta, na, nb)
-        assert np.array_equal(cuts, scalar_cuts(theta, na, nb))
+        cuts = scalar_cuts(theta, na, nb)
         assert np.isfinite(cuts).all()
         assert (cell_distances(cuts, na, nb) >= theta).all()
         assert (cell_distances(np.nextafter(cuts, np.inf), na, nb) < theta).all()
-        assert product_cuts(2.0, 1.0, 1.0)[0] >= 0.0
-        assert product_cuts(np.nextafter(2.0, 3.0), 1.0, 1.0)[0] < 0.0
-        keys = core._floats_of(np.array([-1, 0, 1]))
-        assert keys.tolist() == [-5e-324, 0.0, 5e-324] and not np.signbit(keys[1])
-        assert core._floats_of(np.array([core._INF_KEY, -core._INF_KEY])).tolist() == [
-            np.inf, -np.inf]
-        assert core._INF_KEY == _INF_KEY
+        assert scalar_cut(2.0, 1.0, 1.0) >= 0.0
+        assert scalar_cut(np.nextafter(2.0, 3.0), 1.0, 1.0) < 0.0
         assert [_float_of_key(k) for k in (-1, 0, 1, _INF_KEY)] == [
             -5e-324, 0.0, 5e-324, np.inf]
+        assert_encloses(theta, na, nb)
 
     @pytest.mark.parametrize("theta_range", [(0.0, 4.2), (0.0, 1e-9), (4.0 - 1e-9, 4.0),
                                              (2.0 - 1e-12, 2.0 + 1e-12)])
-    def test_equal_to_the_scalar_search_near_unit_norms(self, theta_range):
+    def test_bracket_encloses_the_scalar_cut_near_unit_norms(self, theta_range):
         rng = np.random.default_rng(17)
         n = 2000
         theta = rng.uniform(*theta_range, n)
         na = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
         nb = 1.0 + np.finfo(np.float64).eps * rng.integers(-8, 9, n)
-        assert np.array_equal(product_cuts(theta, na, nb), scalar_cuts(theta, na, nb))
+        assert_encloses(theta, na, nb)
 
-    def test_equal_to_the_scalar_search_on_wide_and_extreme_inputs(self):
+    def test_bracket_encloses_the_scalar_cut_on_wide_and_extreme_inputs(self):
         rng = np.random.default_rng(18)
         n = 1500
         cases = [
@@ -230,11 +244,20 @@ class TestProductCuts:
                        np.inf, np.nan]), 1.0, 1.0),
         ]
         for theta, na, nb in cases:
-            got = product_cuts(theta, na, nb)
-            want = scalar_cuts(theta, na, nb)
-            assert np.array_equal(got, want, equal_nan=True)
-        # A NaN threshold has no cut: callers must reject it before deciding.
-        assert product_cuts(np.nan, 1.0, 1.0)[0] == -np.inf
+            assert_encloses(theta, na, nb)
+
+    def test_nonpositive_theta_accepts_nothing_and_overflow_leaves_every_cell(self):
+        big = np.finfo(np.float64).max
+        with np.errstate(all="raise"):
+            none = product_cuts(np.array([0.0, -1.0, -np.inf, np.nan]), 1.0, 1.0, 1.0, 1.0)
+            open_ = product_cuts(np.array([1.0, 1.0, 1.0, np.inf]),
+                                 np.array([big, np.inf, 1.0, 1.0]), big,
+                                 np.array([1.0, 1.0, np.nan, 1.0]), 1.0)
+            # theta <= 0 accepts nothing, whatever the norms.
+            nan_norms = product_cuts(0.0, np.nan, np.inf, np.nan, 1.0)
+        assert none.tolist() == [[np.inf] * 4, [np.inf] * 4]
+        assert open_.tolist() == [[np.inf] * 4, [-np.inf] * 4]
+        assert nan_norms.tolist() == [np.inf, np.inf]
 
 
 def band_rows(rng, n, n_dirs=6, dim=8, max_ulps=300):
@@ -267,18 +290,27 @@ class TestDecideBelow:
             assert accepted == np.count_nonzero(want)
 
         # One threshold for every cell, at the extremes of both sides' norms.
-        for theta in (*rng.choice(d.ravel(), 12), 0.0, 1e-300, 4.5):
-            check(np.stack([product_cuts(theta, na.max(), nb.max()),
-                            product_cuts(theta, na.min(), nb.min())]), theta)
+        for theta in (*rng.choice(d.ravel(), 12), 0.0, 1e-300, 4.5, np.nan):
+            check(product_cuts(theta, na.max(), nb.max(), na.min(), nb.min()), theta)
         # Per row, at the row's own norm (the miner's selfie anchors) ...
         theta = d[np.arange(len(a)), rng.integers(0, len(b), len(a))][:, None]
-        check(np.stack([product_cuts(theta, na, nb.max()),
-                        product_cuts(theta, na, nb.min())]).reshape(2, -1, 1), theta)
+        check(product_cuts(theta, na, nb.max(), na, nb.min()), theta)
         # ... and per column, at the column's own norm (its doc anchors).
         theta = d[rng.integers(0, len(a), len(b)), np.arange(len(b))][None, :]
-        check(np.stack([product_cuts(theta, na.max(), nb),
-                        product_cuts(theta, na.min(), nb)]).reshape(2, 1, -1), theta)
+        check(product_cuts(theta, na.max(), nb, na.min(), nb), theta)
         assert band > 0  # the cells between the cuts were decided by the kernel
+
+        # A squared norm that overflows leaves every cell to the kernel.
+        a[0] *= 1e160
+        with np.errstate(over="ignore"):
+            g = a @ b.T
+            na = squared_norms(a)[:, None]
+            d = cell_distances(g, na, nb)
+        assert na[0, 0] == np.inf
+        for theta in (*rng.choice(d[1:].ravel(), 4), np.nan):
+            cuts = product_cuts(theta, na.max(), nb.max(), na.min(), nb.min())
+            assert cuts.tolist() == ([np.inf, -np.inf] if theta > 0 else [np.inf, np.inf])
+            check(cuts, theta)
 
     def test_nothing_above_maybe_returns_at_once(self, monkeypatch):
         rng = np.random.default_rng(4)

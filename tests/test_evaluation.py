@@ -343,6 +343,21 @@ class TestProductCuts:
             with pytest.raises(ValueError):
                 make_eval_set(rng, 10, dim=4, selfie=selfie, doc=broken)
 
+    @pytest.mark.parametrize("theta", [0.0, np.nan, 1.0])
+    def test_non_finite_embeddings_rejected_at_every_theta(self, theta):
+        # Each side is checked before any counting, so theta <= 0 or NaN,
+        # which accepts nothing, does not let a NaN row through.
+        pools = unequal_pools(np.random.default_rng(27), sizes=(6, 9, 12))
+        pools["g1"].doc_emb[3, 1] = np.nan
+        pool = pools["g1"]
+        with pytest.raises(ValueError, match="^embeddings must be finite$"):
+            far_counts(pool.selfie_emb, pool.identity_ids, pool.doc_emb, pool.identity_ids,
+                       theta)
+        with pytest.raises(ValueError, match="^embeddings must be finite$"):
+            per_group_far(pools, theta)
+        with pytest.raises(ValueError, match="^embeddings must be finite$"):
+            far_matrix(pools, theta)
+
 
 class TestCalibration:
     def test_enumeration_example(self):
@@ -638,22 +653,22 @@ class TestCutsPerCall:
         monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, 2))
         calls = []
 
-        def counting(theta, na, nb):
-            calls.append((threading.get_ident(), np.broadcast(theta, na, nb).size))
-            return search(theta, na, nb)
+        def counting(*args):
+            calls.append((threading.get_ident(), np.broadcast(*args).size))
+            return search(*args)
 
         search = evaluation.product_cuts
         monkeypatch.setattr(evaluation, "product_cuts", counting)
         me = threading.get_ident()
         pool = pools["g2"]
         far_counts(pool.selfie_emb, pool.identity_ids, pool.doc_emb, pool.identity_ids, 1.0)
-        assert calls == [(me, 2)]
+        assert calls == [(me, 1)]
         calls.clear()
         per_group_far(pools, 1.0)
-        assert calls == [(me, 2 * len(pools))]
+        assert calls == [(me, len(pools))]
         calls.clear()
         far_matrix(pools, 1.0)
-        assert calls == [(me, 2 * len(pools) ** 2)]
+        assert calls == [(me, len(pools) ** 2)]
 
     def test_nan_theta_accepts_nothing(self):
         pools = self.off_unit_pools(np.random.default_rng(36))

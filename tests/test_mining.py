@@ -405,8 +405,8 @@ def band_cells(batch, margin):
     ]) + margin
     g = np.vstack([selfie[r0:r0 + MINE_BLOCK_ROWS] @ doc.T
                    for r0 in range(0, batch.n, MINE_BLOCK_ROWS)])
-    row_sure, row_maybe = (product_cuts(limit, na, x)[:, None] for x in (nb.max(), nb.min()))
-    col_sure, col_maybe = (product_cuts(limit, x, nb)[None, :] for x in (na.max(), na.min()))
+    row_sure, row_maybe = product_cuts(limit, na, nb.max(), na, nb.min())[:, :, None]
+    col_sure, col_maybe = product_cuts(limit, na.max(), nb, na.min(), nb)[:, None, :]
     return int(np.count_nonzero((g > row_maybe) & (g <= row_sure))
                + np.count_nonzero((g > col_maybe) & (g <= col_sure)))
 
