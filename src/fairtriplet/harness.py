@@ -44,6 +44,7 @@ from .mining import assemble_batch, mine_semi_hard, schedule_minibatches
 from .model import (
     EmbeddingNetwork,
     OptimizerState,
+    TrainingConfig,
     adam_step,
     load_checkpoint,
     loss_gradients,
@@ -268,19 +269,8 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     step = start_step
     try:
         for step in range(start_step + 1, tcfg.total_steps + 1):
-            batch = assemble_batch(train_ds, sampler, tcfg.batch_n, rng_sampler)
-            batch = batch.embed_with(net)
-            triplets = mine_semi_hard(batch, tcfg.margin, rng_miner)
-            minibatches = schedule_minibatches(triplets, tcfg.minibatch_size, rng_miner)
-            features = batch.flat_features()
-            losses = []
-            for mb in minibatches:
-                loss, grads = loss_gradients(net, features, mb, tcfg.margin)
-                adam_step(opt, net, grads)
-                losses.append(loss)
-            loss_buffer.append(float(np.mean(losses)) if losses else 0.0)
-            # Free the round's arrays before the next round's mining, its peak.
-            del batch, triplets, minibatches, features
+            loss_buffer.append(
+                _train_round(train_ds, sampler, net, opt, tcfg, rng_sampler, rng_miner))
 
             at_validation = (
                 step % cfg.eval.validation_every == 0 or step == tcfg.total_steps
@@ -318,6 +308,25 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         "steps": step - start_step,
     })
     return record
+
+
+def _train_round(train_ds: Dataset, sampler: SamplerSpec, net: EmbeddingNetwork,
+                 opt: OptimizerState, tcfg: TrainingConfig, rng_sampler: np.random.Generator,
+                 rng_miner: np.random.Generator) -> float:
+    """One training round: assemble and embed a selection batch, mine its
+    triplets, schedule them and take one Adam step per minibatch. Returns
+    the mean minibatch loss (0.0 for a round without triplets). The round's
+    arrays die when it returns, before the next round's mining, its peak."""
+    batch = assemble_batch(train_ds, sampler, tcfg.batch_n, rng_sampler).embed_with(net)
+    triplets = mine_semi_hard(batch, tcfg.margin, rng_miner)
+    minibatches = schedule_minibatches(triplets, tcfg.minibatch_size, rng_miner)
+    features = batch.flat_features()
+    losses = []
+    for mb in minibatches:
+        loss, grads = loss_gradients(net, features, mb, tcfg.margin)
+        adam_step(opt, net, grads)
+        losses.append(loss)
+    return float(np.mean(losses)) if losses else 0.0
 
 
 def _validation_entry(cfg: ExperimentConfig, net: EmbeddingNetwork,

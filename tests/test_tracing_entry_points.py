@@ -3,6 +3,8 @@
 silently drop its layer from traced runs; this test fails instead. The tracer
 keeps one span stack, so the program must call no wrapped function from a
 worker thread; the traced eval below fails if it does."""
+import json
+import math
 from pathlib import Path
 
 from fairtriplet import evaluation, harness, mining
@@ -11,7 +13,11 @@ from fairtriplet.datagen import GeneratorConfig
 from fairtriplet.harness import latest_checkpoint, run_eval, run_training
 from fairtriplet.model import TrainingConfig
 
-PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = str(ROOT / "perfbench")
+# Per-layer metrics the benchmark worker adds itself, outside layer_metrics.
+WORKER_METRICS = {"harness.trace_overhead_frac", "trace.absent_entry_points",
+                  "trace.spans_per_op"}
 
 
 def test_every_traced_entry_point_exists(monkeypatch):
@@ -77,3 +83,34 @@ def test_threaded_miner_keeps_traced_spans_nested(tmp_path, monkeypatch):
     for i in mines:
         # The three 128 x 128 genuine-distance blocks, all on the calling thread.
         assert [spans[k].name for k in kids.get(i, ())] == ["core.distance"] * 3
+
+
+def test_traced_training_run_reports_every_declared_layer_metric(tmp_path, monkeypatch):
+    """A traced run that validates reaches every layer the benchmark declares
+    (the training workloads reach the evaluation layers only through their
+    validations), and its metrics are finite, so the worker's result line is
+    strict JSON."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from analysis import layer_metrics
+    from tracing import Tracer, traced
+
+    cfg = ExperimentConfig(
+        seed=7,
+        output_dir=str(tmp_path / "run"),
+        data=GeneratorConfig(n_pairs=1500, input_dim=16),
+        training=TrainingConfig(total_steps=2, batch_n=128, minibatch_size=32,
+                                hidden_dims=(16,), embed_dim=8),
+        sampler=SamplerConfig(variant="natural", axis="continent"),
+        eval=EvalConfig(target_far=1e-2, n_eval_pairs=300, group_pool_size=40,
+                        validation_every=2, roc_points=12),
+    )
+    tracer = Tracer()
+    with traced(tracer):
+        harness.run_training(cfg)
+    [run] = [s for s in tracer.spans if s.name == "harness.run_training"]
+    metrics = layer_metrics(tracer.spans, [(run.start, run.end)])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = {m["name"] for m in declared} - WORKER_METRICS
+    assert sorted(names - set(metrics)) == []
+    assert [m for m in sorted(names) if not math.isfinite(metrics[m])] == []
+    json.dumps(metrics, allow_nan=False)
