@@ -223,15 +223,14 @@ def product_cuts(theta, na_max, nb_max, na_min, nb_min) -> np.ndarray:
 def decide_below(g: np.ndarray, cuts, theta, na, nb, out: np.ndarray) -> int:
     """Fill the boolean ``out`` with ``d < theta`` for the kernel's distance
     ``d`` of product ``g`` at squared norms ``na``, ``nb``, and return the
-    number of accepted cells. ``cuts = (sure, maybe)`` are the
-    ``product_cuts`` of ``theta`` at the largest and the smallest norms the
-    cells have; every operand but ``g`` broadcasts over it.
+    number of accepted cells. ``cuts = (sure, maybe)`` is the
+    ``product_cuts`` bracket of ``theta`` over the norms the cells have;
+    every operand but ``g`` broadcasts over it.
 
-    The distance never decreases as a norm grows, so a cell above ``sure`` is
-    accepted and a cell at or below ``maybe`` is rejected; only the cells
-    between the two (usually none) get the kernel's arithmetic on their own
-    product and norms. A NaN ``theta`` has the cuts (inf, inf), which accept
-    nothing, as ``d < theta`` does.
+    A cell above ``sure`` is accepted and a cell at or below ``maybe`` is
+    rejected; only the cells between the two (usually none) get the kernel's
+    arithmetic on their own product and norms. A NaN ``theta`` has the cuts
+    (inf, inf), which accept nothing, as ``d < theta`` does.
     """
     sure, maybe = cuts
     n_maybe = int(np.count_nonzero(np.greater(g, maybe, out=out)))

@@ -19,11 +19,11 @@ Counting decides ``d < theta`` on each tile's raw product with
 ``far_counts``, ``per_group_far`` and ``far_matrix`` check that each side's
 embeddings are finite when they prepare it, before any counting, and take
 the bracket of every comparison's product cut, in closed form, from one
-``core.product_cuts`` call on the calling thread. ``far_matrix`` prepares each pool's two sides once and
-counts its selfie pools (matrix rows) on up to one thread per core that
-BLAS leaves free (``core.worker_threads``). Every cell is an integer count
-on the same tiles whichever thread computes it, so the matrix does not
-depend on the thread count.
+``core.product_cuts`` call on the calling thread. ``far_matrix`` prepares
+each pool's two sides once and counts its selfie pools (matrix rows) on up
+to one thread per core that BLAS leaves free (``core.worker_threads``).
+Every cell is an integer count on the same tiles whichever thread computes
+it, so the matrix does not depend on the thread count.
 """
 from __future__ import annotations
 

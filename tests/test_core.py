@@ -196,7 +196,6 @@ def assert_encloses(theta, na, nb):
         ulp = np.spacing(np.abs(theta) + np.abs(na) + np.abs(nb))
     closed = positive & np.isfinite(sure) & np.isfinite(maybe)
     assert (sure[closed] - maybe[closed] <= 10 * ulp[closed]).all()
-    return sure, maybe
 
 
 class TestProductCuts:
