@@ -54,12 +54,12 @@ REPO = Path(__file__).resolve().parent.parent
 # (config_hash, model_hash) of each preset; a change here invalidates every
 # run directory and checkpoint made with that preset.
 PRESET_HASHES = {
-    "adjusted.yaml": ("d16602075914436e", "a2dd1cdf861ddbc4"),
+    "adjusted.yaml": ("14d9cb2f288e17bc", "a2dd1cdf861ddbc4"),
     "country_adjusted.yaml": ("3568924a21cbf91f", "a2dd1cdf861ddbc4"),
     "dynamic.yaml": ("4488af9cfd021442", "a2dd1cdf861ddbc4"),
-    "equal.yaml": ("5c1722428b163b7e", "a2dd1cdf861ddbc4"),
+    "equal.yaml": ("40006cc83d4070bf", "a2dd1cdf861ddbc4"),
     "homogeneous.yaml": ("bb7f1aed781abbc2", "a2dd1cdf861ddbc4"),
-    "natural.yaml": ("b63bb1e5d312c44b", "a2dd1cdf861ddbc4"),
+    "natural.yaml": ("403386bbcd5f1c0c", "a2dd1cdf861ddbc4"),
 }
 
 # Every key a config file can set, each off its default; some numbers are
