@@ -51,8 +51,9 @@ def tiny_config(tmp_path, name="run", variant="natural", seed=5, **kw):
 
 REPO = Path(__file__).resolve().parent.parent
 
-# (config_hash, model_hash) of each preset; a change here invalidates every
-# run directory and checkpoint made with that preset.
+# (config_hash, model_hash) of each preset, by path under configs/; a change
+# here invalidates every run directory and checkpoint made with that preset.
+# The five desk presets equal the acceptance gate's desk runs.
 PRESET_HASHES = {
     "adjusted.yaml": ("14d9cb2f288e17bc", "a2dd1cdf861ddbc4"),
     "country_adjusted.yaml": ("3568924a21cbf91f", "a2dd1cdf861ddbc4"),
@@ -60,6 +61,10 @@ PRESET_HASHES = {
     "equal.yaml": ("40006cc83d4070bf", "a2dd1cdf861ddbc4"),
     "homogeneous.yaml": ("bb7f1aed781abbc2", "a2dd1cdf861ddbc4"),
     "natural.yaml": ("403386bbcd5f1c0c", "a2dd1cdf861ddbc4"),
+    "paper_country/adjusted.yaml": ("af9f7358fa731590", "1310e4d66fd3b5ba"),
+    "paper_country/dynamic.yaml": ("c48af8fdf14bbbdc", "1310e4d66fd3b5ba"),
+    "paper_country/equal.yaml": ("5a21488fbff034a8", "1310e4d66fd3b5ba"),
+    "paper_country/natural.yaml": ("88ffbf0d6ab18a77", "1310e4d66fd3b5ba"),
 }
 
 # Every key a config file can set, each off its default; some numbers are
@@ -164,6 +169,11 @@ eval:
     def test_preset_hashes_pinned(self, name):
         cfg = load_config(REPO / "configs" / name)
         assert (cfg.config_hash(), cfg.model_hash()) == PRESET_HASHES[name]
+
+    def test_every_preset_is_pinned(self):
+        configs = REPO / "configs"
+        found = {p.relative_to(configs).as_posix() for p in configs.rglob("*.yaml")}
+        assert found == set(PRESET_HASHES)
 
     @pytest.mark.parametrize("raw, where", [
         pytest.param({"data": {"geometry": {"bogus": 1}}}, "data.geometry", id="geometry-key"),
