@@ -7,6 +7,12 @@ Subcommands mirror the experiment pipeline stages:
     fairtriplet eval     -c config.yaml --checkpoint CKPT [-o DIR]
     fairtriplet export   --checkpoint CKPT --data dataset.npz -o embeddings.csv
     fairtriplet report   RUN_DIR [RUN_DIR ...] -o summary.csv
+    fairtriplet compare  CONFIG [CONFIG ...] -o DIR
+
+``compare`` trains and evaluates each config in DIR/<config file stem>,
+skipping a run whose report already holds that config's final step, then
+writes DIR/summary.csv. The configs are all loaded and checked first, so a
+bad file or a repeated stem exits 2 before any training.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 3 measurement-resolution error.
@@ -14,15 +20,20 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .core import ConfigError, ResolutionError
 from .datagen import generate_dataset
 from .dataio import load_dataset, save_dataset
 from .harness import (
+    REPORT_FILE,
     aggregate_reports,
+    checkpoint_name,
     export_embeddings,
+    group_log_far_variance,
     latest_checkpoint,
     run_eval,
     run_training,
@@ -87,16 +98,59 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _print_rows(rows: list[dict], out) -> None:
+    for row in rows:
+        line = (
+            f"{row['run']}: sampler={row['sampler']} "
+            f"worst {row['worst_group']} FAR {row['worst_group_far']:.3g} "
+            f"({row['worst_to_overall']:.2f}x overall), FRR {row['overall_frr']:.3g}, "
+            f"worst {row['worst_frr_group']} FRR {row['worst_group_frr']:.3g} "
+            f"({row['worst_frr_to_overall']:.2f}x overall)"
+        )
+        if "mean_log_far_variance" in row:
+            line += f", log10 FAR variance {row['mean_log_far_variance']:.3g}"
+        print(line)
+    print(f"summary written to {out}")
+
+
 def _cmd_report(args) -> int:
     rows = aggregate_reports(args.run_dirs)
     write_summary_csv(args.out, rows)
-    for row in rows:
-        print(
-            f"{row['run']}: sampler={row['sampler']} "
-            f"worst {row['worst_group']} FAR {row['worst_group_far']:.3g} "
-            f"({row['worst_to_overall']:.1f}x overall), FRR {row['overall_frr']:.3g}"
-        )
-    print(f"summary written to {args.out}")
+    _print_rows(rows, args.out)
+    return EXIT_OK
+
+
+def _finished(cfg: ExperimentConfig) -> bool:
+    """Whether the run directory holds this config's report of its last step."""
+    path = Path(cfg.output_dir) / "eval" / REPORT_FILE
+    if not path.exists():
+        return False
+    report = json.loads(path.read_text())
+    return (report["config_hash"] == cfg.config_hash()
+            and report["checkpoint_step"] == cfg.training.total_steps)
+
+
+def _cmd_compare(args) -> int:
+    out = Path(args.out)
+    cfgs: dict[str, ExperimentConfig] = {}
+    for path in args.configs:
+        stem = Path(path).stem
+        if stem in cfgs:
+            raise ConfigError(f"two configs named {stem!r} would share {out / stem}")
+        cfgs[stem] = load_config(path).with_(output_dir=str(out / stem))
+        cfgs[stem].validate()
+    for stem, cfg in cfgs.items():
+        if _finished(cfg):
+            print(f"{stem}: report of step {cfg.training.total_steps} exists, skipped")
+            continue
+        run_training(cfg)
+        run_eval(cfg, Path(cfg.output_dir) / checkpoint_name(cfg.training.total_steps))
+    rows = aggregate_reports([cfg.output_dir for cfg in cfgs.values()])
+    for row, cfg in zip(rows, cfgs.values()):
+        row["mean_log_far_variance"] = group_log_far_variance(
+            cfg.output_dir, cfg.eval.resolved_far_floor())
+    write_summary_csv(out / "summary.csv", rows)
+    _print_rows(rows, out / "summary.csv")
     return EXIT_OK
 
 
@@ -139,6 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_dirs", nargs="+")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(fn=_cmd_report)
+
+    p = sub.add_parser("compare", help="train and evaluate each config, then aggregate")
+    p.add_argument("configs", nargs="+")
+    p.add_argument("-o", "--out", required=True, help="directory of the runs and summary.csv")
+    p.set_defaults(fn=_cmd_compare)
     return parser
 
 

@@ -459,24 +459,38 @@ def aggregate_reports(run_dirs: list[str | Path]) -> list[dict]:
         if not report_path.exists():
             raise ConfigError(f"no eval report under {run_dir}")
         rep = json.loads(report_path.read_text())
-        g_far = rep["group_far"]
+        g_far, g_frr = rep["group_far"], rep["group_frr"]
         worst = max(g_far, key=lambda g: g_far[g])
-        overall = rep["overall"]["far"]
+        worst_frr = max(g_frr, key=lambda g: g_frr[g])
+        overall, overall_frr = rep["overall"]["far"], rep["overall"]["frr"]
         row = {
             "run": str(run_dir),
             "config_hash": rep["config_hash"],
             "sampler": f'{rep["sampler_variant"]}/{rep["sampler_axis"]}',
             "theta": rep["theta"],
             "overall_far": overall,
-            "overall_frr": rep["overall"]["frr"],
+            "overall_frr": overall_frr,
             "worst_group": worst,
             "worst_group_far": g_far[worst],
             "worst_to_overall": g_far[worst] / overall if overall > 0 else float("inf"),
+            "worst_frr_group": worst_frr,
+            "worst_group_frr": g_frr[worst_frr],
+            "worst_frr_to_overall": (g_frr[worst_frr] / overall_frr if overall_frr > 0
+                                     else float("inf")),
         }
         for g, v in sorted(rep["gender_far"].items()):
             row[f"far_{g}"] = v
         rows.append(row)
     return rows
+
+
+def group_log_far_variance(run_dir: str | Path, far_floor: float) -> float:
+    """Mean over groups of the variance of log10 max(group FAR, far_floor)
+    across the validation epochs in the run's metrics.json."""
+    epochs = json.loads((Path(run_dir) / METRICS_FILE).read_text())["epochs"]
+    groups = sorted(epochs[0]["group_far"])
+    far = np.array([[e["group_far"][g] for g in groups] for e in epochs])
+    return float(np.mean(np.var(np.log10(np.maximum(far, far_floor)), axis=0)))
 
 
 def write_summary_csv(path: str | Path, rows: list[dict]) -> None:

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v`; a PASS/FAIL line per criterion
 is printed in the terminal summary. The end-to-end criteria (5 and 6) train
-five models at desk scale and take a few minutes; everything else is fast.
+the five desk presets (configs/{natural,equal,adjusted,dynamic,homogeneous}.yaml)
+and take a few minutes; everything else is fast.
 """
 import json
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtriplet.config import EvalConfig, ExperimentConfig, SamplerConfig
+from fairtriplet.config import EvalConfig, ExperimentConfig, SamplerConfig, load_config
 from fairtriplet.core import CONTINENTS, normalize_rows
 from fairtriplet.datagen import GeneratorConfig
 from fairtriplet.evaluation import (
@@ -46,39 +47,18 @@ from fairtriplet.sampling import (
 # Shared desk-scale training runs (criteria 5 and 6)
 # ---------------------------------------------------------------------------
 
-DESK_SEED = 7
-DESK_STEPS = 200
-DESK_VALIDATE_EVERY = 10
-
-STRATEGY_SAMPLERS = {
-    "natural": SamplerConfig(variant="natural", axis="continent"),
-    "equal": SamplerConfig(variant="fixed", axis="continent", weights="equal"),
-    "adjusted": SamplerConfig(variant="fixed", axis="continent", weights="adjusted"),
-    "dynamic": SamplerConfig(variant="dynamic", axis="continent"),
-    "homogeneous": SamplerConfig(variant="homogeneous", axis="continent",
-                                 weights="equal"),
-}
-
-
-def desk_config(out_root: Path, name: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=DESK_SEED,
-        output_dir=str(out_root / name),
-        data=GeneratorConfig(n_pairs=50_000, input_dim=32),
-        training=TrainingConfig(total_steps=DESK_STEPS, batch_n=2048),
-        sampler=STRATEGY_SAMPLERS[name],
-        eval=EvalConfig(target_far=1e-3, n_eval_pairs=2000, group_pool_size=300,
-                        validation_every=DESK_VALIDATE_EVERY),
-    )
+REPO = Path(__file__).resolve().parent.parent
+DESK_PRESETS = ("natural", "equal", "adjusted", "dynamic", "homogeneous")
 
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """Train all five strategies once; reports and wall-clock per strategy."""
+    """Train the five desk presets in configs/ once; reports and wall-clock per
+    strategy."""
     root = tmp_path_factory.mktemp("desk")
     out = {}
-    for name in STRATEGY_SAMPLERS:
-        cfg = desk_config(root, name)
+    for name in DESK_PRESETS:
+        cfg = load_config(REPO / "configs" / f"{name}.yaml").with_(output_dir=str(root / name))
         t0 = time.perf_counter()
         record = run_training(cfg)
         report = run_eval(cfg, latest_checkpoint(cfg.output_dir))

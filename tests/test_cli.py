@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +149,83 @@ def test_seed_override_changes_outputs(config_path, tmp_path):
     m1 = json.loads((tmp_path / "r1" / "metrics.json").read_text())
     m2 = json.loads((tmp_path / "r2" / "metrics.json").read_text())
     assert m1["config_hash"] != m2["config_hash"]
+
+
+def _compare_configs(tmp_path):
+    """Three small configs under one directory, the last a dynamic sampler on
+    the country axis; 6000 pairs hold every country at seed 9."""
+    texts = {
+        "equal": CONFIG_TEXT,
+        "natural": CONFIG_TEXT.replace("variant: fixed\n  weights: equal", "variant: natural"),
+        "dynamic": (CONFIG_TEXT.replace("n_pairs: 1200", "n_pairs: 6000")
+                    .replace("variant: fixed\n  weights: equal",
+                             "variant: dynamic\n  axis: country")),
+    }
+    paths = []
+    for stem, text in texts.items():
+        path = tmp_path / "configs" / f"{stem}.yaml"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text.replace("{out}", str(tmp_path / "unused")))
+        paths.append(str(path))
+    return paths
+
+
+def test_compare_trains_evaluates_and_skips_finished_runs(tmp_path, monkeypatch, capsys):
+    paths = _compare_configs(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(["compare", *paths, "-o", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    with open(out / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["run"] for row in rows] == [str(out / s) for s in ("equal", "natural", "dynamic")]
+    assert rows[2]["sampler"] == "dynamic/country"
+    for row in rows:
+        assert row["run"] in printed
+        for key in ("worst_frr_group", "worst_group_frr", "worst_frr_to_overall",
+                    "mean_log_far_variance"):
+            assert row[key] != ""
+    # The same report as train then eval of the same config elsewhere.
+    for path in paths:
+        other = tmp_path / "alone" / Path(path).stem
+        assert main(["train", "-c", path, "-o", str(other)]) == EXIT_OK
+        assert main(["eval", "-c", path, "--output-dir", str(other)]) == EXIT_OK
+        assert ((other / "eval" / "report.json").read_bytes()
+                == (out / Path(path).stem / "eval" / "report.json").read_bytes())
+
+    # Every run is finished, so a second call trains nothing.
+    summary = (out / "summary.csv").read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finished run was trained again")
+
+    monkeypatch.setattr("fairtriplet.cli.run_training", refuse)
+    assert main(["compare", *paths, "-o", str(out)]) == EXIT_OK
+    assert (out / "summary.csv").read_bytes() == summary
+    capsys.readouterr()
+
+
+def test_compare_retrains_an_interrupted_run(tmp_path, capsys):
+    path = _compare_configs(tmp_path)[0]
+    run = tmp_path / "cmp" / "equal"
+    assert main(["train", "-c", path, "-o", str(run), "--stop-after", "2"]) == EXIT_OK
+    assert main(["eval", "-c", path, "--output-dir", str(run)]) == EXIT_OK
+    report = run / "eval" / "report.json"
+    assert json.loads(report.read_text())["checkpoint_step"] == 2
+    assert main(["compare", path, "-o", str(tmp_path / "cmp")]) == EXIT_OK
+    assert json.loads(report.read_text())["checkpoint_step"] == 4
+    capsys.readouterr()
+
+
+def test_compare_checks_every_config_before_training(tmp_path, capsys):
+    paths = _compare_configs(tmp_path)
+    twin = tmp_path / "twin" / "equal.yaml"
+    twin.parent.mkdir()
+    twin.write_text(Path(paths[0]).read_text())
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("data:\n  n_pairs: -5\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", *paths, str(twin), "-o", str(out)]) == EXIT_CONFIG
+    assert "equal" in capsys.readouterr().err
+    assert main(["compare", *paths, str(bad), "-o", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    capsys.readouterr()

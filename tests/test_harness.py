@@ -470,10 +470,17 @@ class TestReportAggregation:
         rows = aggregate_reports([cfg.output_dir])
         assert rows[0]["sampler"] == "natural/continent"
         assert rows[0]["worst_group"] in ("EU", "AM", "AF", "AS", "OC", "UN")
+        report = json.loads((Path(cfg.output_dir) / "eval" / "report.json").read_text())
+        g_frr = report["group_frr"]
+        assert rows[0]["worst_group_frr"] == g_frr[rows[0]["worst_frr_group"]] == max(g_frr.values())
+        overall_frr = report["overall"]["frr"]
+        assert rows[0]["worst_frr_to_overall"] == (
+            rows[0]["worst_group_frr"] / overall_frr if overall_frr > 0 else float("inf"))
         out = tmp_path / "summary.csv"
         write_summary_csv(out, rows)
-        header = out.read_text().splitlines()[0]
-        assert "worst_to_overall" in header
+        header = out.read_text().splitlines()[0].split(",")
+        assert {"worst_to_overall", "worst_frr_group", "worst_group_frr",
+                "worst_frr_to_overall"} <= set(header)
 
 
 # Run in a fresh interpreter, so no other test's arrays are freed meanwhile.
