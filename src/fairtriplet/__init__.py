@@ -15,7 +15,7 @@ from .core import (
 )
 from .datagen import GeneratorConfig, GroupGeometry, generate_dataset
 from .model import EmbeddingNetwork, OptimizerState, TrainingConfig, triplet_loss
-from .sampling import DynamicState, SamplerSpec
+from .sampling import SamplerSpec
 from .config import EvalConfig, ExperimentConfig, SamplerConfig, load_config
 from .harness import RunRecord, run_eval, run_training
 
@@ -27,7 +27,6 @@ __all__ = [
     "GENDERS",
     "ConfigError",
     "Dataset",
-    "DynamicState",
     "EmbeddingNetwork",
     "EvalConfig",
     "ExperimentConfig",

@@ -24,9 +24,9 @@ from .core import CONTINENTS, ConfigError, axis_groups
 from .datagen import GeneratorConfig
 from .model import TrainingConfig
 from .sampling import (
-    DynamicState,
     FAR_WEIGHT_EXPONENT,
     SamplerSpec,
+    equal_weights,
     preset_weights,
 )
 
@@ -40,6 +40,9 @@ class SamplerConfig:
     alpha_smooth: float = 0.2
 
     def resolved_weights(self) -> dict[str, float] | None:
+        """The weights the sampler starts from; dynamic ones start equal."""
+        if self.variant == "dynamic":
+            return equal_weights(axis_groups(self.axis))
         if isinstance(self.weights, str):
             return preset_weights(self.weights, self.axis)
         return dict(self.weights) if self.weights is not None else None
@@ -47,19 +50,11 @@ class SamplerConfig:
     def build(self) -> SamplerSpec:
         if self.variant in ("natural", "dynamic") and self.weights is not None:
             raise ConfigError(f"sampler.weights has no effect on a {self.variant} sampler")
-        if self.variant == "dynamic":
-            groups = axis_groups(self.axis)
-            return SamplerSpec(
-                variant="dynamic",
-                axis=self.axis,
-                dynamic=DynamicState.uniform(groups, lam=self.lam,
-                                             alpha_smooth=self.alpha_smooth),
-            )
-        return SamplerSpec(
-            variant=self.variant,
-            axis=self.axis,
-            weights=self.resolved_weights(),
-        )
+        if self.variant == "dynamic" and self.lam <= 0:
+            raise ConfigError("sampler.lam must be > 0")
+        if self.variant == "dynamic" and not 0.0 < self.alpha_smooth <= 1.0:
+            raise ConfigError("sampler.alpha_smooth must be in (0, 1]")
+        return SamplerSpec(variant=self.variant, axis=self.axis, weights=self.resolved_weights())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import ctypes
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from .model import (
     save_checkpoint,
 )
 from .sampling import (
-    DynamicState,
     SamplerSpec,
     absent_groups,
     probabilities,
@@ -232,12 +231,16 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
         rng_sampler = _rng_from_state(state["rng_sampler"])
         rng_miner = _rng_from_state(state["rng_miner"])
-        if state["dynamic"] is not None:
-            sampler = sampler.with_dynamic(DynamicState(**state["dynamic"]))
+        if state["dynamic_weights"] is not None:
+            sampler = replace(sampler, weights=state["dynamic_weights"])
         record = RunRecord(config_hash=full_hash, epochs=state["epochs"],
                            final_step=start_step)
         loss_buffer: list[float] = state["loss_buffer"]
     else:
+        # A longer run into this directory may have left later checkpoints,
+        # which latest_checkpoint would pick over this run's.
+        for stale in out.glob("checkpoints/ckpt_*.npz"):
+            stale.unlink()
         net = EmbeddingNetwork.create(
             train_ds.input_dim, tcfg.hidden_dims, tcfg.embed_dim,
             tcfg.activation, stream_rng(cfg, "init"),
@@ -259,7 +262,7 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 "model_hash": cfg.model_hash(),
                 "rng_sampler": rng_sampler.bit_generator.state,
                 "rng_miner": rng_miner.bit_generator.state,
-                "dynamic": asdict(sampler.dynamic) if sampler.dynamic else None,
+                "dynamic_weights": sampler.weights if sampler.variant == "dynamic" else None,
                 "epochs": record.epochs,
                 "loss_buffer": loss_buffer,
             },
@@ -281,12 +284,12 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 )
                 loss_buffer = []
                 if sampler.variant == "dynamic":
-                    new_state = update_dynamic_weights(
-                        sampler.dynamic, entry["group_far"], far_floor
+                    entry["dynamic_weights_prev"] = sampler.weights
+                    entry["dynamic_weights"] = update_dynamic_weights(
+                        sampler.weights, entry["group_far"], cfg.sampler.lam,
+                        cfg.sampler.alpha_smooth, far_floor,
                     )
-                    entry["dynamic_weights_prev"] = dict(sampler.dynamic.weights)
-                    entry["dynamic_weights"] = dict(new_state.weights)
-                    sampler = sampler.with_dynamic(new_state)
+                    sampler = replace(sampler, weights=entry["dynamic_weights"])
                 record.epochs.append(entry)
                 save_state(step)
             if stop_after is not None and step >= stop_after:

@@ -22,7 +22,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,9 @@ class EmbeddingNetwork:
             raise ValueError(f"unknown activation: {activation!r}")
         params = [p for wb in zip(weights, biases) for p in wb]
         self.shapes = [np.shape(p) for p in params]
-        self._params = self.flatten(params)
+        ends = np.cumsum([math.prod(s) for s in self.shapes]).tolist()
+        self._spans = [(end - math.prod(s), end, s) for end, s in zip(ends, self.shapes)]
+        self._params = np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
         self.weights, self.biases = self.parameters()[0::2], self.parameters()[1::2]
         self.activation = activation
 
@@ -104,16 +106,9 @@ class EmbeddingNetwork:
         return self.weights[-1].shape[1]
 
     def layout(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views of a vector shaped like ``params``."""
-        parts = np.split(vec, np.cumsum([math.prod(s) for s in self.shapes[:-1]]))
-        return [part.reshape(s) for part, s in zip(parts, self.shapes)]
-
-    def flatten(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """One float64 vector of per-parameter arrays; the inverse of layout."""
-        shapes = [np.shape(a) for a in arrays]
-        if shapes != self.shapes:
-            raise ValueError(f"array shapes {shapes} != parameter shapes {self.shapes}")
-        return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        """Per-parameter views of a vector shaped like ``params``, cut at the
+        spans computed once in ``__init__``: it runs on every step."""
+        return [vec[lo:hi].reshape(s) for lo, hi, s in self._spans]
 
     def parameters(self) -> list[np.ndarray]:
         return self.layout(self.params)
@@ -142,23 +137,23 @@ class EmbeddingNetwork:
         z = u / norms
         return z, (hs, u, norms, z)
 
-    def backward(self, cache, dz: np.ndarray) -> list[np.ndarray]:
-        """Gradients w.r.t. parameters given dL/dz; aligned with parameters()."""
+    def backward(self, cache, dz: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. ``params`` given dL/dz, one vector shaped like it."""
         hs, u, norms, z = cache
         du = (dz - z * np.sum(dz * z, axis=1, keepdims=True)) / norms
-        grads: list[np.ndarray] = []
+        grad = np.empty_like(self._params)
+        views = self.layout(grad)
         dh = du
         for l in range(len(self.weights) - 1, -1, -1):
-            grads.append(dh.sum(axis=0))          # bias
-            grads.append(hs[l].T @ dh)            # weight
+            views[2 * l + 1][...] = dh.sum(axis=0)    # bias
+            views[2 * l][...] = hs[l].T @ dh          # weight
             if l > 0:
                 dh = dh @ self.weights[l].T
                 if self.activation == "tanh":
                     dh = dh * (1.0 - hs[l] ** 2)
                 else:
                     dh = dh * (hs[l] > 0.0)
-        grads.reverse()
-        return grads
+        return grad
 
 
 def triplet_loss(z_a: np.ndarray, z_p: np.ndarray, z_n: np.ndarray, margin: float) -> float:
@@ -169,7 +164,7 @@ def triplet_loss(z_a: np.ndarray, z_p: np.ndarray, z_n: np.ndarray, margin: floa
 
 
 def loss_gradients(net: EmbeddingNetwork, features: np.ndarray, triplets,
-                   margin: float) -> tuple[float, list[np.ndarray]]:
+                   margin: float) -> tuple[float, np.ndarray]:
     """Mean triplet loss over a minibatch and its parameter gradients.
 
     ``triplets`` is an ``(anchor, positive, negative)`` triple of index
@@ -195,9 +190,10 @@ def loss_gradients(net: EmbeddingNetwork, features: np.ndarray, triplets,
 
     dz = np.zeros_like(z)
     w = active.astype(np.float64)[:, None] / t
-    np.add.at(dz, a_loc, 2.0 * (zn - zp) * w)
-    np.add.at(dz, p_loc, -2.0 * (za - zp) * w)
-    np.add.at(dz, n_loc, 2.0 * (za - zn) * w)
+    # add.at adds in index order: each row sums its anchor, then positive,
+    # then negative terms, as three calls in that order would.
+    np.add.at(dz, inv, np.concatenate([2.0 * (zn - zp) * w, -2.0 * (za - zp) * w,
+                                       2.0 * (za - zn) * w]))
     return loss, net.backward(cache, dz)
 
 
@@ -232,9 +228,11 @@ class OptimizerState:
 
 
 def adam_step(state: OptimizerState, net: EmbeddingNetwork,
-              grads: Sequence[np.ndarray]) -> tuple[EmbeddingNetwork, OptimizerState]:
-    """One bias-corrected Adam update of the flat state, in place; returns the pair."""
-    g = net.flatten(grads)
+              g: np.ndarray) -> tuple[EmbeddingNetwork, OptimizerState]:
+    """One bias-corrected Adam update of the flat state by the flat gradient
+    ``g``, in place; returns the pair. A misshapen ``g`` changes nothing."""
+    if g.shape != net.params.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     state.step += 1
     lr = state.learning_rate(state.step)
     c1 = 1.0 - ADAM_BETA1 ** state.step
@@ -249,13 +247,14 @@ def adam_step(state: OptimizerState, net: EmbeddingNetwork,
 
 def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerState,
                     step: int, config_hash: str, run_state: dict | None = None) -> None:
-    """Versioned checkpoint: each parameter and Adam moment as an array, and
-    one JSON ``header`` with the version, config hash, activation, step
-    counts, learning-rate schedule and the caller's ``run_state``."""
+    """Versioned checkpoint: the flat parameters and Adam moments, and a UTF-8
+    JSON ``header`` with the version, config hash, activation, parameter
+    shapes, step counts, learning-rate schedule and the caller's ``run_state``."""
     header = {
         "version": _CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "activation": net.activation,
+        "shapes": net.shapes,
         "step": step,
         "adam_step": state.step,
         "lr_init": state.lr_init,
@@ -265,14 +264,10 @@ def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerSta
     }
     # Key order is kept, not sorted: a mapping's order can carry meaning
     # (the dynamic sampler draws its groups in weight order).
-    arrays: dict[str, np.ndarray] = {"header": np.str_(json.dumps(header))}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    for i, (m, v) in enumerate(zip(net.layout(state.m), net.layout(state.v))):
-        arrays[f"adam_m{i}"] = m
-        arrays[f"adam_v{i}"] = v
-    savez_deterministic(path, arrays)
+    text = json.dumps(header).encode()
+    savez_deterministic(path, {"header": np.frombuffer(text, dtype=np.uint8),
+                               "params": net.params, "adam_m": state.m,
+                               "adam_v": state.v})
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
@@ -282,7 +277,7 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     """
     with np.load(path) as z:
         try:
-            header = json.loads(str(z["header"]))
+            header = json.loads(z["header"].tobytes())
         except (KeyError, ValueError):
             header = None
         if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
@@ -293,15 +288,16 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
                 f"checkpoint config hash {config_hash} does not match expected "
                 f"{expected_config_hash}"
             )
-        n_layers = sum(name.startswith("w") for name in z.files)
-        net = EmbeddingNetwork(
-            [z[f"w{i}"] for i in range(n_layers)],
-            [z[f"b{i}"] for i in range(n_layers)],
-            activation=header["activation"],
-        )
+        net = EmbeddingNetwork([np.zeros(s) for s in header["shapes"][0::2]],
+                               [np.zeros(s) for s in header["shapes"][1::2]],
+                               activation=header["activation"])
+        net.params = z["params"]
+        m, v = z["adam_m"], z["adam_v"]
+        if not m.shape == v.shape == net.params.shape:
+            raise ConfigError(f"{path}: Adam moments do not match the parameters")
         state = OptimizerState(
-            m=net.flatten([z[f"adam_m{i}"] for i in range(2 * n_layers)]),
-            v=net.flatten([z[f"adam_v{i}"] for i in range(2 * n_layers)]),
+            m=m,
+            v=v,
             step=header["adam_step"],
             lr_init=header["lr_init"],
             lr_final=header["lr_final"],

@@ -7,14 +7,15 @@ Four strategies:
 * ``dynamic``     - weights recomputed from measured per-group FAR,
 * ``homogeneous`` - one weighted group draw per batch, all samples from it.
 
-Dynamic weights follow a power law w = FAR^lambda with lambda = log10(4), so
-a 10-fold FAR increase quadruples a group's raw weight, smoothed across
-epochs by exponential averaging.
+All but natural draw by ``SamplerSpec.weights``. Dynamic weights start equal
+and follow a power law w = FAR^lambda with lambda = log10(4), so a 10-fold FAR
+increase quadruples a group's raw weight, smoothed across validations by
+exponential averaging into the next spec's weights.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -27,49 +28,18 @@ VARIANTS = ("natural", "fixed", "dynamic", "homogeneous")
 
 
 @dataclass(frozen=True)
-class DynamicState:
-    """Smoothed per-group weights plus the scheduler's knobs."""
-
-    weights: dict[str, float]
-    lam: float = FAR_WEIGHT_EXPONENT
-    alpha_smooth: float = 0.2
-    epoch: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise ValueError("dynamic state needs at least one group")
-        if any(w <= 0 for w in self.weights.values()):
-            raise ValueError("dynamic weights must be strictly positive")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if not 0.0 < self.alpha_smooth <= 1.0:
-            raise ValueError("alpha_smooth must be in (0, 1]")
-
-    @classmethod
-    def uniform(cls, groups, lam: float = FAR_WEIGHT_EXPONENT,
-                alpha_smooth: float = 0.2) -> "DynamicState":
-        return cls(weights={g: 1.0 for g in groups}, lam=lam, alpha_smooth=alpha_smooth)
-
-
-@dataclass(frozen=True)
 class SamplerSpec:
     variant: str
     axis: str = "continent"
-    weights: dict[str, float] | None = None   # fixed / homogeneous
-    dynamic: DynamicState | None = None
+    weights: dict[str, float] | None = None   # all variants but natural
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown sampler variant: {self.variant!r}")
-        if self.variant in ("fixed", "homogeneous"):
+        if self.variant != "natural":
             if not self.weights:
                 raise ValueError(f"{self.variant} sampler needs weights")
             _check_weights(self.weights)
-        if self.variant == "dynamic" and self.dynamic is None:
-            raise ValueError("dynamic sampler needs a DynamicState")
-
-    def with_dynamic(self, state: DynamicState) -> "SamplerSpec":
-        return replace(self, dynamic=state)
 
 
 def _check_weights(weights: Mapping[str, float]) -> None:
@@ -100,7 +70,7 @@ def probabilities(spec: SamplerSpec, dataset: Dataset) -> dict[str, float]:
     missing = absent_groups(spec, dataset)
     if missing:
         raise ValueError(f"groups with positive weight absent from dataset: {missing}")
-    return _normalized(_weights(spec))
+    return _normalized(spec.weights)
 
 
 def absent_groups(spec: SamplerSpec, dataset: Dataset) -> list[str]:
@@ -109,11 +79,7 @@ def absent_groups(spec: SamplerSpec, dataset: Dataset) -> list[str]:
     if spec.variant == "natural":
         return []
     index = dataset.group_index(spec.axis)
-    return [g for g, w in _weights(spec).items() if w > 0 and len(index.get(g, ())) == 0]
-
-
-def _weights(spec: SamplerSpec) -> Mapping[str, float]:
-    return spec.dynamic.weights if spec.variant == "dynamic" else spec.weights
+    return [g for g, w in spec.weights.items() if w > 0 and len(index.get(g, ())) == 0]
 
 
 def raw_dynamic_weights(per_group_far: Mapping[str, float], lam: float,
@@ -134,26 +100,22 @@ def raw_dynamic_weights(per_group_far: Mapping[str, float], lam: float,
     return out
 
 
-def update_dynamic_weights(state: DynamicState, per_group_far: Mapping[str, float],
-                           far_floor: float) -> DynamicState:
-    """One exponential-averaging step toward the raw FAR-power weights.
+def update_dynamic_weights(weights: Mapping[str, float], per_group_far: Mapping[str, float],
+                           lam: float, alpha_smooth: float,
+                           far_floor: float) -> dict[str, float]:
+    """One exponential-averaging step from ``weights`` toward the FAR-power ones.
 
     Computed incrementally as w + alpha * (w_raw - w) so that a raw weight
     equal to the current one is an exact fixed point; alpha_smooth == 1
     short-circuits to the raw weights exactly.
     """
-    raw = raw_dynamic_weights(per_group_far, state.lam, far_floor)
-    missing = set(state.weights) - set(raw)
+    raw = raw_dynamic_weights(per_group_far, lam, far_floor)
+    missing = set(weights) - set(raw)
     if missing:
         raise ValueError(f"per_group_far missing groups: {sorted(missing)}")
-    if state.alpha_smooth == 1.0:
-        new = {g: raw[g] for g in state.weights}
-    else:
-        new = {
-            g: w + state.alpha_smooth * (raw[g] - w)
-            for g, w in state.weights.items()
-        }
-    return replace(state, weights=new, epoch=state.epoch + 1)
+    if alpha_smooth == 1.0:
+        return {g: raw[g] for g in weights}
+    return {g: w + alpha_smooth * (raw[g] - w) for g, w in weights.items()}
 
 
 def choose_homogeneous_group(weights: Mapping[str, float],

@@ -33,7 +33,6 @@ from fairtriplet.model import (
     triplet_loss,
 )
 from fairtriplet.sampling import (
-    DynamicState,
     FAR_WEIGHT_EXPONENT,
     SamplerSpec,
     choose_homogeneous_group,
@@ -160,7 +159,7 @@ def test_criterion_2_gradient_correctness():
                     for ai, pi, ni in zip(*trips)]
             return sum(vals) / len(vals)
 
-        for param, g in zip(net.parameters(), grads):
+        for param, g in zip(net.parameters(), net.layout(grads)):
             fd = np.zeros_like(param)
             it = np.nditer(param, flags=["multi_index"])
             for _ in it:
@@ -260,14 +259,15 @@ def test_criterion_4_dynamic_weight_law():
     assert abs(w["b"] / w["a"] - 4.0) < 1e-12
 
     # exponential-averaging fixed point, exactly
-    state = DynamicState(weights={"a": 0.377, "b": 0.911}, lam=1.0, alpha_smooth=0.2)
-    new = update_dynamic_weights(state, {"a": 0.377, "b": 0.911}, far_floor=1e-12)
-    assert new.weights == state.weights
+    weights = {"a": 0.377, "b": 0.911}
+    new = update_dynamic_weights(weights, {"a": 0.377, "b": 0.911}, lam=1.0,
+                                 alpha_smooth=0.2, far_floor=1e-12)
+    assert new == weights
 
     # alpha_smooth = 1 returns the raw weights, exactly
-    state = DynamicState(weights={"a": 0.5, "b": 0.25}, lam=1.0, alpha_smooth=1.0)
-    new = update_dynamic_weights(state, {"a": 0.125, "b": 0.75}, far_floor=1e-12)
-    assert new.weights == {"a": 0.125, "b": 0.75}
+    new = update_dynamic_weights({"a": 0.5, "b": 0.25}, {"a": 0.125, "b": 0.75}, lam=1.0,
+                                 alpha_smooth=1.0, far_floor=1e-12)
+    assert new == {"a": 0.125, "b": 0.75}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,8 @@ def test_criterion_7_sampler_statistics():
         "adjusted": SamplerSpec("fixed", axis="continent",
                                 weights=continent_adjusted_weights()),
         "dynamic": SamplerSpec("dynamic", axis="continent",
-                               dynamic=DynamicState(
-                                   weights={"EU": 1.0, "AM": 0.5, "AF": 4.0,
-                                            "AS": 2.0, "OC": 0.25, "UN": 1.25})),
+                               weights={"EU": 1.0, "AM": 0.5, "AF": 4.0,
+                                        "AS": 2.0, "OC": 0.25, "UN": 1.25}),
     }
     n_draws = 10_000
     for name, spec in specs.items():

@@ -112,6 +112,17 @@ def test_weights_on_dynamic_sampler_exit_code(config_path, tmp_path, capsys):
     assert "sampler.weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["lam: 0", "alpha_smooth: 0", "alpha_smooth: 1.5"])
+def test_dynamic_sampler_settings_exit_code(config_path, tmp_path, capsys, setting):
+    text = config_path.read_text().replace("variant: fixed\n  weights: equal",
+                                           f"variant: dynamic\n  {setting}")
+    bad = tmp_path / "dynamic_setting.yaml"
+    bad.write_text(text)
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    assert f"sampler.{setting.split(':')[0]}" in capsys.readouterr().err
+
+
 def test_absent_weighted_group_exit_code(config_path, tmp_path, capsys):
     # 1500 pairs at seed 5 hold no africa_rem pair, which the dynamic country
     # sampler weights; the run stops before any round or validation.
@@ -129,8 +140,27 @@ def test_version_1_checkpoint_exit_code(config_path, tmp_path, capsys):
     v1 = tmp_path / "v1.npz"
     savez_deterministic(v1, {"checkpoint_version": np.int64(1),
                              "config_hash": np.str_("0" * 16)})
-    assert main(["eval", "-c", str(config_path), "--checkpoint", str(v1)]) == EXIT_CONFIG
-    assert "version-2" in capsys.readouterr().err
+    v2 = tmp_path / "v2.npz"
+    savez_deterministic(v2, {"header": np.str_(json.dumps({"version": 2,
+                                                          "config_hash": "0" * 16}))})
+    for old in (v1, v2):
+        assert main(["eval", "-c", str(config_path), "--checkpoint", str(old)]) == EXIT_CONFIG
+        assert "version-3" in capsys.readouterr().err
+
+
+def test_shorter_run_replaces_a_longer_runs_checkpoints(config_path, tmp_path, capsys):
+    # A 6-round run, then a 4-round run of another config into the same
+    # directory: eval must find the second run's last checkpoint, not the
+    # first run's ckpt_000006.
+    longer = tmp_path / "longer.yaml"
+    longer.write_text(config_path.read_text().replace("total_steps: 4", "total_steps: 6"))
+    run_dir = tmp_path / "shared"
+    assert main(["train", "-c", str(longer), "-o", str(run_dir)]) == EXIT_OK
+    assert main(["train", "-c", str(config_path), "-o", str(run_dir)]) == EXIT_OK
+    assert sorted(p.name for p in (run_dir / "checkpoints").iterdir()) == [
+        "ckpt_000002.npz", "ckpt_000004.npz"]
+    assert main(["eval", "-c", str(config_path), "--output-dir", str(run_dir)]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_resolution_error_exit_code(config_path, tmp_path, capsys):

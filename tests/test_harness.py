@@ -193,6 +193,12 @@ eval:
                      id="one-pair-pool"),
         pytest.param({"sampler": {"variant": "dynamic", "weights": "adjusted"}},
                      "sampler.weights has no effect on a dynamic sampler", id="dynamic-weights"),
+        pytest.param({"sampler": {"variant": "dynamic", "lam": 0}},
+                     "sampler.lam must be > 0", id="dynamic-lam-zero"),
+        pytest.param({"sampler": {"variant": "dynamic", "alpha_smooth": 0}},
+                     "sampler.alpha_smooth must be in (0, 1]", id="dynamic-alpha-zero"),
+        pytest.param({"sampler": {"variant": "dynamic", "alpha_smooth": 1.5}},
+                     "sampler.alpha_smooth must be in (0, 1]", id="dynamic-alpha-above-one"),
         pytest.param({"sampler": {"variant": "natural", "weights": {"EU": 5.0}}},
                      "sampler.weights has no effect on a natural sampler", id="natural-weights"),
         pytest.param({"data": {"country_weights": {"usaa": 50.0}}},
@@ -293,6 +299,11 @@ class TestTrainingRuns:
         m_full = json.loads((Path(cfg_full.output_dir) / "metrics.json").read_text())
         m_part = json.loads((Path(cfg_part.output_dir) / "metrics.json").read_text())
         assert m_part == m_full
+        # Parameters, Adam moments, RNG states and dynamic weights, bit for bit.
+        last_full = latest_checkpoint(cfg_full.output_dir)
+        last_part = latest_checkpoint(cfg_part.output_dir)
+        assert last_part.name == last_full.name
+        assert last_part.read_bytes() == last_full.read_bytes()
 
     def test_resume_rejects_changed_config(self, tmp_path):
         cfg = tiny_config(tmp_path, "orig")

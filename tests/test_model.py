@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,7 @@ class TestLossGradients:
         arr = tuple(np.array(x) for x in zip(*trips))
         loss, grads = loss_gradients(net, feats, arr, margin=1e-6)
         if loss == 0.0:
-            for g in grads:
-                assert np.all(g == 0.0)
+            assert np.all(grads == 0.0)
 
     def test_matches_finite_differences(self):
         for seed in range(5):
@@ -150,7 +151,7 @@ class TestLossGradients:
                 return sum(vals) / len(vals)
 
             fd = finite_difference_grads(net, loss_fn)
-            assert max_relative_error(grads, fd) < 1e-4
+            assert max_relative_error(net.layout(grads), fd) < 1e-4
 
     def test_duplicated_minibatch_same_mean_gradient(self):
         net = make_net()
@@ -161,8 +162,7 @@ class TestLossGradients:
         loss1, g1 = loss_gradients(net, feats, trips, 0.6)
         loss2, g2 = loss_gradients(net, feats, doubled, 0.6)
         assert abs(loss1 - loss2) < 1e-15
-        for a, b in zip(g1, g2):
-            assert np.allclose(a, b, atol=1e-15)
+        assert np.allclose(g1, g2, atol=1e-15)
 
     def test_empty_minibatch_rejected(self):
         net = make_net()
@@ -175,10 +175,11 @@ class TestAdam:
         net = make_net()
         state = OptimizerState.for_network(net, lr_init=1e-3, lr_final=1e-3, decay_steps=10)
         before = [p.copy() for p in net.parameters()]
-        grads = [np.full_like(p, 0.5) * np.sign(np.arange(p.size).reshape(p.shape) % 3 - 1)
-                 for p in net.parameters()]
+        grads = np.zeros_like(net.params)
+        for g in net.layout(grads):
+            g[...] = 0.5 * np.sign(np.arange(g.size).reshape(g.shape) % 3 - 1)
         adam_step(state, net, grads)
-        for p0, p1, g in zip(before, net.parameters(), grads):
+        for p0, p1, g in zip(before, net.parameters(), net.layout(grads)):
             delta = p1 - p0
             nonzero = g != 0
             assert np.allclose(delta[nonzero], -1e-3 * np.sign(g[nonzero]), atol=1e-6)
@@ -188,7 +189,7 @@ class TestAdam:
         net = make_net()
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 10)
         before = [p.copy() for p in net.parameters()]
-        adam_step(state, net, [np.zeros_like(p) for p in net.parameters()])
+        adam_step(state, net, np.zeros_like(net.params))
         for p0, p1 in zip(before, net.parameters()):
             assert np.array_equal(p0, p1)
 
@@ -199,8 +200,7 @@ class TestAdam:
             state = OptimizerState.for_network(net, 1e-3, 1e-5, 50)
             rng = np.random.default_rng(8)
             for _ in range(20):
-                grads = [rng.normal(size=p.shape) for p in net.parameters()]
-                adam_step(state, net, grads)
+                adam_step(state, net, rng.normal(size=net.params.shape))
             results.append((net.params.copy(), state.m.copy(), state.v.copy()))
         for a, b in zip(results[0], results[1]):
             assert np.array_equal(a, b)
@@ -212,14 +212,14 @@ class TestAdam:
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 10)
         assert state.m.shape == state.v.shape == net.params.shape
         before = [p.copy() for p in views]
-        grads = [np.ones_like(p) for p in net.parameters()]
+        grads = np.ones_like(net.params)
         adam_step(state, net, grads)
         for p0, p in zip(before, net.weights + net.biases):
             assert np.allclose(p - p0, -1e-3)
         assert all(p is q for p, q in zip(views, net.weights + net.biases))
         params, step = net.params.copy(), state.step
-        for bad in (grads[:-1], [grads[0].T, *grads[1:]], [*grads[:-1], grads[-1][:-1]]):
-            with pytest.raises(ValueError, match="shapes"):
+        for bad in (grads[:-1], grads[None], np.ones(grads.size + 1)):
+            with pytest.raises(ValueError, match="shape"):
                 adam_step(state, net, bad)
         assert np.array_equal(net.params, params) and state.step == step
 
@@ -250,8 +250,7 @@ class TestAdam:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(50, 6))
         for _ in range(5):
-            grads = [rng.normal(size=p.shape) * 0.1 for p in net.parameters()]
-            adam_step(state, net, grads)
+            adam_step(state, net, rng.normal(size=net.params.shape) * 0.1)
             z = net.forward(x)
             assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() < 1e-6
 
@@ -315,13 +314,27 @@ def write_v1_checkpoint(path, net, state, step, config_hash):
     savez_deterministic(path, arrays)
 
 
+def write_v2_checkpoint(path, net, state, step, config_hash):
+    """A checkpoint in the version-2 layout: a unicode JSON header and one
+    member per parameter and Adam moment."""
+    header = {"version": 2, "config_hash": config_hash, "activation": net.activation,
+              "step": step, "adam_step": state.step, "lr_init": state.lr_init,
+              "lr_final": state.lr_final, "decay_steps": state.decay_steps, "run_state": {}}
+    arrays = {"header": np.str_(json.dumps(header))}
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    for i, (m, v) in enumerate(zip(net.layout(state.m), net.layout(state.v))):
+        arrays[f"adam_m{i}"], arrays[f"adam_v{i}"] = m, v
+    savez_deterministic(path, arrays)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         net = make_net(seed=12, hidden=(8, 7))
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 7)
         rng = np.random.default_rng(13)
         for _ in range(3):
-            adam_step(state, net, [rng.normal(size=p.shape) for p in net.parameters()])
+            adam_step(state, net, rng.normal(size=net.params.shape))
         # Keys out of sorted order, at the top and nested: order must survive.
         run_state = {"zeta": [0.1, None], "weights": {"UN": 0.5, "EU": 2.0, "AF": 1 / 3},
                      "alpha": 7}
@@ -340,7 +353,10 @@ class TestCheckpoint:
         assert (state2.step, state2.lr_init, state2.lr_final, state2.decay_steps) == (
             state.step, state.lr_init, state.lr_final, state.decay_steps)
         with np.load(path) as z:
-            assert len(z.files) == 1 + 6 * len(net.weights)
+            assert z.files == ["header", "params", "adam_m", "adam_v"]
+            assert z["header"].dtype == np.uint8
+            header = json.loads(z["header"].tobytes().decode("utf-8"))
+        assert header["shapes"] == [list(s) for s in net.shapes]
 
     def test_hash_mismatch_rejected(self, tmp_path):
         net = make_net()
@@ -353,12 +369,13 @@ class TestCheckpoint:
     def test_version_1_rejected(self, tmp_path):
         net = make_net()
         state = OptimizerState.for_network(net, 1e-3, 1e-5, 7)
-        path = tmp_path / "v1.npz"
-        write_v1_checkpoint(path, net, state, 0, "deadbeef")
-        with pytest.raises(ConfigError, match="version-2"):
-            load_checkpoint(path)
+        for version, write in ((1, write_v1_checkpoint), (2, write_v2_checkpoint)):
+            path = tmp_path / f"v{version}.npz"
+            write(path, net, state, 0, "deadbeef")
+            with pytest.raises(ConfigError, match="version-3"):
+                load_checkpoint(path)
 
-    @pytest.mark.parametrize("header", ["{not json", '{"version": 3}', "[2]"],
+    @pytest.mark.parametrize("header", ["{not json", '{"version": 2}', "[3]"],
                              ids=["not-json", "other-version", "not-an-object"])
     def test_bad_header_rejected(self, tmp_path, header):
         net = make_net()
@@ -366,7 +383,7 @@ class TestCheckpoint:
         save_checkpoint(path, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
         with np.load(path) as z:
             arrays = {name: z[name] for name in z.files}
-        arrays["header"] = np.str_(header)
+        arrays["header"] = np.frombuffer(header.encode(), dtype=np.uint8)
         savez_deterministic(path, arrays)
         with pytest.raises(ConfigError):
             load_checkpoint(path)

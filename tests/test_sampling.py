@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fairtriplet.core import CONTINENTS
 from fairtriplet.datagen import DEFAULT_CONTINENT_SHARES, GeneratorConfig, generate_dataset
 from fairtriplet.sampling import (
-    DynamicState,
     FAR_WEIGHT_EXPONENT,
     SamplerSpec,
     choose_homogeneous_group,
@@ -67,8 +66,7 @@ class TestProbabilities:
         for spec in (
             SamplerSpec("natural", axis="continent"),
             SamplerSpec("fixed", axis="continent", weights=continent_adjusted_weights()),
-            SamplerSpec("dynamic", axis="continent",
-                        dynamic=DynamicState.uniform(CONTINENTS)),
+            SamplerSpec("dynamic", axis="continent", weights=equal_weights(CONTINENTS)),
         ):
             total = sum(probabilities(spec, dataset).values())
             assert abs(total - 1.0) < 1e-12
@@ -135,39 +133,39 @@ class TestRawDynamicWeights:
 
 class TestUpdateDynamicWeights:
     def test_direct_arithmetic(self):
-        state = DynamicState(weights={"a": 0.5}, lam=1.0, alpha_smooth=0.2)
         # raw weight for FAR 1.0 at lam=1 is exactly 1.0
-        new = update_dynamic_weights(state, {"a": 1.0}, far_floor=1e-9)
-        assert new.weights["a"] == 0.6
-        assert new.epoch == state.epoch + 1
+        new = update_dynamic_weights({"a": 0.5}, {"a": 1.0}, lam=1.0, alpha_smooth=0.2,
+                                     far_floor=1e-9)
+        assert new["a"] == 0.6
 
     def test_fixed_point_exact(self):
-        state = DynamicState(weights={"a": 0.123456789, "b": 0.7}, lam=1.0,
-                             alpha_smooth=0.2)
+        weights = {"a": 0.123456789, "b": 0.7}
         fars = {"a": 0.123456789, "b": 0.7}  # raw == current at lam=1
-        new = update_dynamic_weights(state, fars, far_floor=1e-12)
-        assert new.weights == state.weights
+        new = update_dynamic_weights(weights, fars, lam=1.0, alpha_smooth=0.2,
+                                     far_floor=1e-12)
+        assert new == weights
 
     def test_alpha_one_is_raw(self):
-        state = DynamicState(weights={"a": 0.9, "b": 0.1}, lam=1.0, alpha_smooth=1.0)
         fars = {"a": 0.25, "b": 0.5}
-        new = update_dynamic_weights(state, fars, far_floor=1e-12)
-        assert new.weights == {"a": 0.25, "b": 0.5}
+        new = update_dynamic_weights({"a": 0.9, "b": 0.1}, fars, lam=1.0, alpha_smooth=1.0,
+                                     far_floor=1e-12)
+        assert new == {"a": 0.25, "b": 0.5}
 
     def test_geometric_convergence(self):
-        state = DynamicState(weights={"a": 1.0}, lam=1.0, alpha_smooth=0.2)
+        weights = {"a": 1.0}
         target = 0.125
         errors = []
         for _ in range(10):
-            state = update_dynamic_weights(state, {"a": target}, far_floor=1e-12)
-            errors.append(abs(state.weights["a"] - target))
+            weights = update_dynamic_weights(weights, {"a": target}, lam=1.0,
+                                             alpha_smooth=0.2, far_floor=1e-12)
+            errors.append(abs(weights["a"] - target))
         for e0, e1 in zip(errors, errors[1:]):
             assert e1 == pytest.approx(0.8 * e0, rel=1e-9)
 
     def test_missing_group_rejected(self):
-        state = DynamicState.uniform(("a", "b"))
         with pytest.raises(ValueError):
-            update_dynamic_weights(state, {"a": 0.5}, far_floor=1e-9)
+            update_dynamic_weights(equal_weights(("a", "b")), {"a": 0.5},
+                                   lam=FAR_WEIGHT_EXPONENT, alpha_smooth=0.2, far_floor=1e-9)
 
 
 class TestChooseHomogeneousGroup:
