@@ -17,10 +17,15 @@ byte-identical outputs:
 Set OPENBLAS_NUM_THREADS=1 before the run to take the threaded side of the
 FAR matrix and the miner (core.worker_threads); leave it unset for the
 one-thread side.
+
+Byte identity holds for one BLAS kernel, so the script names the kernel
+OpenBLAS chose on stderr, as `# openblas: <core> (<config>)`, or `unknown`
+where the library or its symbols are not found; stdout holds only digests.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import sys
 import tempfile
@@ -64,6 +69,24 @@ def digests(root: Path):
             yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(root)
 
 
+def openblas_kernel() -> str:
+    """``<core> (<config>)`` from the OpenBLAS library numpy loaded."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:  # not Linux
+        libs = set()
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_")
+        if all(hasattr(lib, name) for name in names):
+            core, config = (getattr(lib, name) for name in names)
+            core.argtypes = config.argtypes = []
+            core.restype = config.restype = ctypes.c_char_p
+            return f"{core().decode()} ({config().decode()})"
+    return "unknown"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -71,6 +94,7 @@ def main() -> int:
     ap.add_argument("--out", help="directory for the runs (default: a temporary one)")
     ap.add_argument("configs", nargs="*", help="YAML configs to run after the workloads")
     args = ap.parse_args()
+    print(f"# openblas: {openblas_kernel()}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.out or tmp)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -54,30 +55,35 @@ def _fmt(x: float) -> str:
     return str(float(x))
 
 
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list],
+               comment: str | None = None) -> None:
+    """Write ``header`` and ``rows`` as CSV, after a ``# comment`` line when
+    one is given, making the parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_embeddings_csv(path: str | Path, net: EmbeddingNetwork, dataset: Dataset) -> int:
     """Write one row per image: identity_id, country, gender, domain, then the
     embedding components. Selfie rows come first, then doc rows, both in pair
     order. Returns the row count (2 x pairs)."""
-    emb_s = net.forward(dataset.selfie_features)
-    emb_d = net.forward(dataset.doc_features)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = ["identity_id", "country", "gender", "domain"] + [
         f"e{i}" for i in range(net.embed_dim)
     ]
-    rows = 0
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for domain, emb in (("selfie", emb_s), ("doc", emb_d)):
-            for i in range(len(dataset)):
-                writer.writerow(
-                    [int(dataset.identity_ids[i]), dataset.countries[i],
-                     dataset.genders[i], domain]
-                    + [_fmt(x) for x in emb[i]]
-                )
-                rows += 1
-    return rows
+    _write_csv(path, header, (
+        [int(dataset.identity_ids[i]), dataset.countries[i], dataset.genders[i], domain]
+        + [_fmt(x) for x in emb[i]]
+        for domain, emb in (("selfie", net.forward(dataset.selfie_features)),
+                            ("doc", net.forward(dataset.doc_features)))
+        for i in range(len(dataset))
+    ))
+    return 2 * len(dataset)
 
 
 def read_embeddings_csv(path: str | Path):
@@ -107,29 +113,27 @@ def write_far_matrix_csv(path: str | Path, matrix, config_hash: str = "") -> Non
     """CSV grid with group codes as row/column headers (selfie group in the
     row, doc group in the column). The first line is a comment carrying the
     run's config hash and the threshold."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_hash={config_hash} theta={_fmt(matrix.theta)}\n")
-        writer = csv.writer(f)
-        writer.writerow(["selfie_group\\doc_group", *matrix.groups])
-        for i, g in enumerate(matrix.groups):
-            writer.writerow([g] + [_fmt(x) for x in matrix.values[i]])
+    _write_csv(path, ["selfie_group\\doc_group", *matrix.groups],
+               ([g] + [_fmt(x) for x in row] for g, row in zip(matrix.groups, matrix.values)),
+               comment=f"config_hash={config_hash} theta={_fmt(matrix.theta)}")
 
 
 def write_roc_csv(path: str | Path, curve, config_hash: str = "") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with_std = curve.far_std is not None
-    with open(path, "w", newline="") as f:
-        f.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(f)
-        header = ["theta", "far", "frr"]
-        if with_std:
-            header += ["far_std", "frr_std"]
-        writer.writerow(header)
-        for i in range(len(curve.thetas)):
-            row = [_fmt(curve.thetas[i]), _fmt(curve.far[i]), _fmt(curve.frr[i])]
-            if with_std:
-                row += [_fmt(curve.far_std[i]), _fmt(curve.frr_std[i])]
-            writer.writerow(row)
+    columns = [curve.thetas, curve.far, curve.frr]
+    header = ["theta", "far", "frr"]
+    if curve.far_std is not None:
+        columns += [curve.far_std, curve.frr_std]
+        header += ["far_std", "frr_std"]
+    _write_csv(path, header, ([_fmt(x) for x in row] for row in zip(*columns)),
+               comment=f"config_hash={config_hash}")
+
+
+def write_summary_csv(path: str | Path, rows: list[dict]) -> None:
+    """One line per row under the union of the rows' keys; a missing key
+    leaves its cell empty."""
+    if not rows:
+        raise ConfigError("no rows to summarize")
+    keys = list(rows[0])
+    for row in rows[1:]:
+        keys += [k for k in row if k not in keys]
+    _write_csv(path, keys, ([row.get(k, "") for k in keys] for row in rows))

@@ -357,16 +357,9 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
         return [_count_far(selfies[i], doc, cut, theta) for doc, cut in zip(docs, cuts[i])]
 
     with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
-        rows = list(pool.map(row, range(k)))
-    values = np.zeros((k, k))
-    accepted = np.zeros((k, k), dtype=np.int64)
-    comparisons = np.zeros((k, k), dtype=np.int64)
-    for i, cells in enumerate(rows):
-        for j, (a, c) in enumerate(cells):
-            values[i, j] = a / c
-            accepted[i, j] = a
-            comparisons[i, j] = c
-    return FarMatrix(axis, groups, theta, values, accepted, comparisons)
+        counts = np.array(list(pool.map(row, range(k))), dtype=np.int64)  # (k, k, 2)
+    accepted, comparisons = counts[..., 0], counts[..., 1]
+    return FarMatrix(axis, groups, theta, accepted / comparisons, accepted, comparisons)
 
 
 def per_group_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:

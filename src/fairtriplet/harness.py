@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from .dataio import (
     write_embeddings_csv,
     write_far_matrix_csv,
     write_roc_csv,
+    write_summary_csv,
 )
 from .evaluation import (
     EvalSet,
@@ -142,10 +144,18 @@ class RunRecord:
 
 
 def _dump_json(path: Path, obj: dict) -> None:
+    """Write through a synced temporary file, so a crash never leaves a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, sort_keys=True, indent=2)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _shared_geometry_seed(cfg: ExperimentConfig) -> int:
@@ -408,15 +418,12 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     else:
         curve = roc_curve(es, grid)
 
-    trajectory = None
-    metrics_path = Path(cfg.output_dir) / METRICS_FILE
-    if metrics_path.exists():
-        metrics = json.loads(metrics_path.read_text())
-        trajectory = [
-            {k: e[k] for k in ("step", "sampling_probabilities", "dynamic_weights",
-                               "dynamic_weights_prev", "group_far") if k in e}
-            for e in metrics.get("epochs", [])
-        ]
+    # The checkpoint's own validation epochs, up to its step.
+    trajectory = None if "epochs" not in state else [
+        {k: e[k] for k in ("step", "sampling_probabilities", "dynamic_weights",
+                           "dynamic_weights_prev", "group_far") if k in e}
+        for e in state["epochs"]
+    ]
 
     matrix_file = f"far_matrix_{cfg.eval.matrix_axis}.csv"
     write_far_matrix_csv(out / matrix_file, matrix, cfg.config_hash())
@@ -494,19 +501,3 @@ def group_log_far_variance(run_dir: str | Path, far_floor: float) -> float:
     groups = sorted(epochs[0]["group_far"])
     far = np.array([[e["group_far"][g] for g in groups] for e in epochs])
     return float(np.mean(np.var(np.log10(np.maximum(far, far_floor)), axis=0)))
-
-
-def write_summary_csv(path: str | Path, rows: list[dict]) -> None:
-    import csv
-
-    if not rows:
-        raise ConfigError("no rows to summarize")
-    keys = list(rows[0])
-    for row in rows[1:]:
-        keys += [k for k in row if k not in keys]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -32,9 +32,10 @@ the cores BLAS leaves free), each with a product buffer and a mask that the
 calling thread allocates, and at most one block per thread runs ahead of
 the calling thread. Workers pack the selfie anchors' rows to bits and the
 document anchors' columns to bytes; the calling thread takes the blocks in
-block order, puts the columns into an N x ceil(N/64)*8-byte bit matrix,
-and picks. A pick reads per-row candidate counts and the k-th set bit from
-word popcounts and byte lookup tables. No N x N float matrix, boolean mask,
+block order, picks each block's selfie anchors, and puts its columns into an
+N x ceil(N/64)*8-byte bit matrix, whose rows it picks after the last block.
+A pick reads per-row candidate counts and the k-th set bit from word
+popcounts and byte lookup tables. No N x N float matrix, boolean mask,
 transposed copy or N^2 nonzero scan is built: memory is O(N *
 MINE_BLOCK_ROWS) floats per thread plus N^2/8 bytes.
 
@@ -74,11 +75,6 @@ MINE_BLOCK_ROWS = 128
 # anchors of eight blocks, after the last block, and holds a cumulative count
 # per word of their rows.
 _PICK_ROWS = 8 * MINE_BLOCK_ROWS
-
-# Selfie anchors are picked during the blocks, once their blocks' packed bits
-# reach this size: at N = 10240 after every block, which keeps the round's
-# peak memory low, and at small N after several, which saves calls.
-_PICK_BYTES = 1 << 17
 
 # Blocks per mining thread. A thread's start-up and the hand-off of each
 # block cost about as much as a few blocks of a small batch, so a batch gets
@@ -357,30 +353,21 @@ def mine_semi_hard(batch: MiningBatch, margin: float,
     ``ValueError`` when the batch has no embeddings or a non-finite one."""
     n = batch.n
     doc_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)
-    picks: list[tuple[np.ndarray, np.ndarray]] = []  # (anchor rows, negative cols)
-    pending: list[_BlockBits] = []  # blocks whose selfie anchors are not picked yet
-
-    def pick_selfie_anchors() -> None:
-        rows, cols = _pick_packed(np.concatenate([b.selfie_bits for b in pending]), rng)
-        picks.append((rows + pending[0].r0, cols))
-        pending.clear()
+    selfie_picks: list[tuple[np.ndarray, np.ndarray]] = []  # (anchor rows, negative cols)
 
     def consume(bits: _BlockBits) -> None:
         _store_doc_bits(doc_bits, bits)
-        pending.append(bits)
-        if sum(b.selfie_bits.nbytes for b in pending) >= _PICK_BYTES:
-            pick_selfie_anchors()
+        rows, cols = _pick_packed(bits.selfie_bits, rng)
+        selfie_picks.append((rows + bits.r0, cols))
 
     _for_each_block(batch, margin, consume)
-    if pending:
-        pick_selfie_anchors()
-    selfie_anchored = len(picks)
+    doc_picks = []
     for r0 in range(0, n, _PICK_ROWS):
         rows, cols = _pick_packed(doc_bits[r0:r0 + _PICK_ROWS], rng)
-        picks.append((rows + r0, cols))
+        doc_picks.append((rows + r0, cols))
 
-    s_rows, s_negs = (np.concatenate(x) for x in zip(*picks[:selfie_anchored]))
-    d_rows, d_negs = (np.concatenate(x) for x in zip(*picks[selfie_anchored:]))
+    s_rows, s_negs = (np.concatenate(x) for x in zip(*selfie_picks))
+    d_rows, d_negs = (np.concatenate(x) for x in zip(*doc_picks))
     # Selfie anchor: (selfie_i, doc_i, doc_j); doc anchor: (doc_i, selfie_i, selfie_j).
     return (
         np.concatenate([s_rows, n + d_rows]),

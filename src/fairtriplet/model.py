@@ -23,6 +23,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _CHECKPOINT_VERSION = 3
+_HEADER_KEYS = ("config_hash", "activation", "shapes", "step", "adam_step", "lr_init",
+                "lr_final", "decay_steps", "run_state")
 
 
 @dataclass(frozen=True)
@@ -282,17 +284,23 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
             header = None
         if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
             raise ConfigError(f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise ConfigError(f"{path}: checkpoint header lacks {missing}")
         config_hash = header["config_hash"]
         if expected_config_hash is not None and config_hash != expected_config_hash:
             raise ConfigError(
                 f"checkpoint config hash {config_hash} does not match expected "
                 f"{expected_config_hash}"
             )
-        net = EmbeddingNetwork([np.zeros(s) for s in header["shapes"][0::2]],
-                               [np.zeros(s) for s in header["shapes"][1::2]],
-                               activation=header["activation"])
-        net.params = z["params"]
-        m, v = z["adam_m"], z["adam_v"]
+        try:
+            net = EmbeddingNetwork([np.zeros(s) for s in header["shapes"][0::2]],
+                                   [np.zeros(s) for s in header["shapes"][1::2]],
+                                   activation=header["activation"])
+            net.params = z["params"]
+            m, v = z["adam_m"], z["adam_v"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: header shapes do not fit the arrays: {e}") from None
         if not m.shape == v.shape == net.params.shape:
             raise ConfigError(f"{path}: Adam moments do not match the parameters")
         state = OptimizerState(

@@ -148,6 +148,28 @@ def test_version_1_checkpoint_exit_code(config_path, tmp_path, capsys):
         assert "version-3" in capsys.readouterr().err
 
 
+def test_malformed_checkpoint_exit_code(config_path, tmp_path, capsys):
+    # A version-3 header without its keys, and one whose shapes do not fit
+    # the stored parameter vector.
+    from fairtriplet.model import EmbeddingNetwork, OptimizerState, save_checkpoint
+
+    net = EmbeddingNetwork.create(16, (16,), 8, "tanh", np.random.default_rng(0))
+    shapes = tmp_path / "shapes.npz"
+    save_checkpoint(shapes, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
+    with np.load(shapes) as z:
+        arrays = {name: z[name] for name in z.files}
+    header = json.loads(arrays["header"].tobytes())
+    header["shapes"][0] = [17, 16]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    savez_deterministic(shapes, arrays)
+    keys = tmp_path / "keys.npz"
+    arrays["header"] = np.frombuffer(b'{"version": 3}', dtype=np.uint8)
+    savez_deterministic(keys, arrays)
+    for bad, problem in ((keys, "lacks"), (shapes, "shapes do not fit")):
+        assert main(["eval", "-c", str(config_path), "--checkpoint", str(bad)]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().err
+
+
 def test_shorter_run_replaces_a_longer_runs_checkpoints(config_path, tmp_path, capsys):
     # A 6-round run, then a 4-round run of another config into the same
     # directory: eval must find the second run's last checkpoint, not the

@@ -454,6 +454,57 @@ class TestEval:
         assert comparisons == rep["overall"]["far_comparisons"]
 
 
+class TestWeightTrajectory:
+    """A report's weight_trajectory is the evaluated checkpoint's own
+    validation epochs, up to its step, whatever ``output_dir`` holds."""
+
+    @staticmethod
+    def dynamic_config(tmp_path, name, total_steps):
+        return tiny_config(
+            tmp_path, name, variant="dynamic",
+            training=TrainingConfig(total_steps=total_steps, batch_n=128, minibatch_size=32,
+                                    hidden_dims=(16,), embed_dim=8),
+            eval=EvalConfig(target_far=1e-2, n_eval_pairs=300, group_pool_size=60,
+                            validation_every=2, roc_points=12))
+
+    def test_earlier_checkpoint_lists_only_its_own_epochs(self, tmp_path):
+        cfg = self.dynamic_config(tmp_path, "run", 4)
+        run_training(cfg)
+        early = run_eval(cfg, Path(cfg.output_dir, harness.checkpoint_name(2)),
+                         out_dir=tmp_path / "early")
+        last = run_eval(cfg, latest_checkpoint(cfg.output_dir), out_dir=tmp_path / "last")
+        assert [e["step"] for e in early["weight_trajectory"]] == [2]
+        assert early["weight_trajectory"] == last["weight_trajectory"][:1]
+        # The last checkpoint's epochs are those of metrics.json.
+        epochs = json.loads((Path(cfg.output_dir) / "metrics.json").read_text())["epochs"]
+        assert [e["step"] for e in epochs] == [2, 4]
+        for entry, epoch in zip(last["weight_trajectory"], epochs, strict=True):
+            assert set(entry) == {"step", "sampling_probabilities", "dynamic_weights",
+                                  "dynamic_weights_prev", "group_far"}
+            assert entry == {k: epoch[k] for k in entry}
+
+    def test_checkpoint_keeps_its_runs_trajectory(self, tmp_path):
+        run_a = self.dynamic_config(tmp_path, "a", 4)
+        run_b = self.dynamic_config(tmp_path, "b", 6)
+        run_training(run_a)
+        run_training(run_b)
+        report = run_eval(run_a.with_(output_dir=run_b.output_dir),
+                          latest_checkpoint(run_a.output_dir), out_dir=tmp_path / "eval")
+        assert [e["step"] for e in report["weight_trajectory"]] == [2, 4]
+
+
+class TestJsonOutputs:
+    def test_interrupted_dump_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        harness._dump_json(path, {"a": 1})
+        before = path.read_bytes()
+        # Keys are written sorted, so "a" is out before "b" fails.
+        with pytest.raises(TypeError):
+            harness._dump_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
 class TestExport:
     def test_export_rows_and_roundtrip(self, tmp_path):
         cfg = tiny_config(tmp_path, "export")

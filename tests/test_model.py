@@ -375,17 +375,35 @@ class TestCheckpoint:
             with pytest.raises(ConfigError, match="version-3"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("header", ["{not json", '{"version": 2}', "[3]"],
-                             ids=["not-json", "other-version", "not-an-object"])
-    def test_bad_header_rejected(self, tmp_path, header):
+    # A dict updates the saved header; make_net's true shapes are
+    # [[6, 8], [8], [8, 5], [5]].
+    @pytest.mark.parametrize("header, match", [
+        ("{not json", "version-3"), ('{"version": 2}', "version-3"), ("[3]", "version-3"),
+        ('{"version": 3}', "lacks .*'config_hash'"),
+        ({"shapes": [[6, 9], [9], [9, 5], [5]]}, "shapes do not fit"),
+    ], ids=["not-json", "other-version", "not-an-object", "missing-keys", "shapes-disagree"])
+    def test_bad_header_rejected(self, tmp_path, header, match):
         net = make_net()
         path = tmp_path / "bad.npz"
         save_checkpoint(path, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
         with np.load(path) as z:
             arrays = {name: z[name] for name in z.files}
+        if isinstance(header, dict):
+            header = json.dumps({**json.loads(arrays["header"].tobytes()), **header})
         arrays["header"] = np.frombuffer(header.encode(), dtype=np.uint8)
         savez_deterministic(path, arrays)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
+            load_checkpoint(path)
+
+    def test_moments_must_fit_the_parameters(self, tmp_path):
+        net = make_net()
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        arrays["adam_v"] = arrays["adam_v"][:-1]
+        savez_deterministic(path, arrays)
+        with pytest.raises(ConfigError, match="Adam moments"):
             load_checkpoint(path)
 
 
