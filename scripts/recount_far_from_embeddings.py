@@ -4,17 +4,20 @@
 Independent cross-check of eval reports: reads an embedding CSV (produced by
 `fairtriplet export`) and a report.json, recomputes the accepted/rejected
 counts at the report's threshold, and compares them against the report's
-integer counts. Distances follow the toolkit's documented kernel and tile
-shape (see README, "Conventions"); the masking, counting, and aggregation
-here are written from scratch on purpose.
+integer counts. It also checks the threshold itself: the floor(target_far *
+n)-th smallest (from 0) of the n impostor distances, or one float step above
+the largest at target 1. Distances follow the toolkit's documented kernel and
+tile shape (see README, "Conventions"); the masking, counting, selection and
+aggregation here are written from scratch on purpose.
 
-Exit code 0 iff all counts match exactly.
+Exit code 0 iff the threshold and all counts match exactly.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,7 +62,9 @@ def main() -> int:
     # round one dense product differently from the same rows inside a window.
     doc_sq = np.einsum("ij,ij->i", docs, docs)
     height = min(TILE_ROWS, len(selfies))
-    accepted = 0
+    comparisons = int(np.count_nonzero(sids[:, None] != dids[None, :]))
+    impostor_d = np.empty(comparisons)
+    filled = accepted = 0
     for start in range(0, len(selfies), TILE_ROWS):
         stop = min(start + TILE_ROWS, len(selfies))
         window = selfies[stop - height:stop]  # the last one ends at the last selfie
@@ -71,7 +76,16 @@ def main() -> int:
         fresh = d[start - (stop - height):]
         impostor = sids[start:stop, None] != dids[None, :]
         accepted += int(np.count_nonzero((fresh < theta) & impostor))
-    comparisons = int(np.count_nonzero(sids[:, None] != dids[None, :]))
+        values = fresh[impostor]
+        impostor_d[filled:filled + values.size] = values
+        filled += values.size
+
+    k = math.floor(report["target_far"] * comparisons)
+    if k >= comparisons:
+        expected_theta = float(np.nextafter(impostor_d.max(), np.inf))
+    else:
+        impostor_d.partition(k)
+        expected_theta = float(impostor_d[k])
 
     # genuine pairs: same pair order in both blocks of the export
     gdiff = selfies - docs
@@ -79,6 +93,7 @@ def main() -> int:
     rejected = int(np.count_nonzero(genuine >= theta))
 
     checks = [
+        ("theta", expected_theta, theta),
         ("far_accepted", accepted, report["overall"]["far_accepted"]),
         ("far_comparisons", comparisons, report["overall"]["far_comparisons"]),
         ("frr_rejected", rejected, report["overall"]["frr_rejected"]),

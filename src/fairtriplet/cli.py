@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a dataset file from the config")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("train", help="run the training loop")

@@ -10,9 +10,10 @@ Conventions, fixed across the whole toolkit and its file formats:
   which handles duplicated identities;
 * all rates are ratios of exact integer counts;
 * distances come from :func:`fairtriplet.core.cross_squared_distances` in
-  fixed 128-row selfie tiles (``_tile_windows``), and ``far_counts`` decides
-  on the products of the same tiles, so a threshold calibrated here counts
-  exactly there.
+  fixed 128-row selfie tiles (``_tile_windows``); calibration reads its
+  order statistic from one bounded pass over them (no impostor vector), and
+  ``far_counts`` decides on the products of the same tiles, so a threshold
+  calibrated here counts exactly there.
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by.
@@ -27,7 +28,6 @@ it, so the matrix does not depend on the thread count.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,23 +93,12 @@ class EvalSet:
         )
 
     @cached_property
-    def impostor(self) -> np.ndarray:
+    def sorted_impostor(self) -> np.ndarray:
         """The set's impostor distances (its selfies against its own docs),
-        read-only; built on first use and kept with the set. They are in
-        row-major order until ``sorted_impostor`` sorts this same buffer."""
+        sorted ascending, read-only; built on first use and kept with the
+        set. Only the theta grid and the ROC read it."""
         dists = impostor_distances(self.selfie_emb, self.identity_ids,
                                    self.doc_emb, self.identity_ids)
-        dists.flags.writeable = False
-        return dists
-
-    @cached_property
-    def sorted_impostor(self) -> np.ndarray:
-        """``impostor`` sorted ascending, read-only. Sorts that buffer in
-        place, so the set never holds two impostor vectors; calibration
-        selects from ``impostor`` and needs no sort, the theta grid and the
-        ROC read this."""
-        dists = self.impostor
-        dists.flags.writeable = True
         dists.sort()
         dists.flags.writeable = False
         return dists
@@ -247,26 +236,37 @@ def far(eval_set: EvalSet, theta: float) -> float:
 
 
 def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
-                       doc_emb: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
+                       doc_emb: np.ndarray, doc_ids: np.ndarray,
+                       smallest: int | None = None) -> np.ndarray:
     """All impostor squared distances (same-identity pairs excluded), in
     row-major order: selfie by selfie, each against the docs in order.
+
+    With ``smallest``, only some of them, in no set order, among which are
+    the ``smallest`` smallest. Before each tile the pass partitions what it
+    holds, in place, once that is more than ``smallest`` values, truncates it
+    to the ``smallest`` smallest and from then on keeps only values at or
+    below their largest: a bound never below the ``smallest``-th smallest of
+    all the values.
 
     The distances come from the same tiles as ``far_counts``, so a threshold
     taken from them counts exactly there.
     """
     same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
-    out = np.empty(len(selfie_emb) * len(doc_emb) - same_rows.size)
+    n = len(selfie_emb) * len(doc_emb) - same_rows.size
     keep_buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)), dtype=bool)
-    pos = 0
+    out = np.empty(n if smallest is None else min(n, smallest + keep_buf.size))
+    pos, bound = 0, np.inf
     for lo, d in _distance_tiles(selfie_emb, doc_emb):
-        keep = keep_buf[:len(d)]
-        keep.fill(True)
+        if smallest is not None and pos > smallest:
+            out[:pos].partition(smallest - 1)
+            pos, bound = smallest, out[smallest - 1]
+        keep = np.less_equal(d, bound, out=keep_buf[:len(d)])
         a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
         keep[same_rows[a:b] - lo, same_cols[a:b]] = False
         values = d[keep]
         out[pos:pos + values.size] = values
         pos += values.size
-    return out
+    return out[:pos]
 
 
 def calibrate_threshold(eval_set: EvalSet, target_far: float) -> float:
@@ -277,55 +277,38 @@ def calibrate_threshold(eval_set: EvalSet, target_far: float) -> float:
     impostor comparisons the returned threshold is the (floor(target*n))-th
     smallest distance; FAR at the next distinct grid value exceeds the
     target. Requires n * target_far >= 1, otherwise the target is below the
-    measurement's resolution. The distance is found by selection
-    (``_kth_smallest``), so the set's impostor vector is not sorted.
+    measurement's resolution. One bounded ``impostor_distances`` pass finds
+    that distance; no impostor vector is built.
     """
-    return _calibrated(eval_set.impostor, target_far, _kth_smallest)
+    ids = eval_set.identity_ids
+    n = len(ids) ** 2 - same_identity_pairs(ids, ids)[0].size
+    k = _calibration_rank(n, target_far)
+    values = impostor_distances(eval_set.selfie_emb, ids, eval_set.doc_emb, ids,
+                                smallest=k + 1)
+    if k >= n:
+        return float(np.nextafter(values.max(), np.inf))
+    values.partition(k)
+    return float(values[k])
 
 
 def calibrate_threshold_from_distances(sorted_impostor: np.ndarray,
                                        target_far: float) -> float:
     """``calibrate_threshold`` on impostor distances sorted ascending."""
-    return _calibrated(sorted_impostor, target_far, lambda values, k: values[k])
+    n = len(sorted_impostor)
+    k = _calibration_rank(n, target_far)
+    if k >= n:
+        return float(np.nextafter(sorted_impostor.max(), np.inf))
+    return float(sorted_impostor[k])
 
 
-def _calibrated(impostor: np.ndarray, target_far: float, kth) -> float:
-    """The calibration rule on ``impostor``, whose k-th smallest value
-    (counting from 0) is ``kth(impostor, k)``."""
-    n = len(impostor)
+def _calibration_rank(n: int, target_far: float) -> int:
+    """The calibrated threshold's rank among n impostor distances, from 0."""
     if target_far <= 0 or n * target_far < 1.0:
         raise ResolutionError(
             f"target FAR {target_far:g} needs >= {1.0 / target_far if target_far > 0 else np.inf:.0f} "
             f"impostor comparisons, have {n}"
         )
-    k = int(np.floor(target_far * n))
-    if k >= n:
-        return float(np.nextafter(impostor.max(), np.inf))
-    return float(kth(impostor, k))
-
-
-# Values per chunk of ``_kth_smallest``'s filtering pass: it holds one
-# boolean mask of this length, not one as long as the impostor vector.
-_SELECT_CHUNK = 1 << 18
-
-
-def _kth_smallest(values: np.ndarray, k: int) -> float:
-    """``np.sort(values)[k]`` for ``k < len(values)``, in O(n) time, without
-    sorting or copying ``values`` (Hoare's FIND; Floyd and Rivest 1975).
-
-    The k-th smallest of any k + 1 or more of the values is at least the
-    k-th smallest of all of them, so partitioning a prefix gives an upper
-    bound. The values at or below it are a prefix of the sorted order that
-    reaches past position k, so their own k-th smallest is the answer. A
-    prefix of sqrt(n (k + 1)) values balances the two partitions when the
-    prefix is typical of the whole; any prefix gives the exact value.
-    """
-    n = len(values)
-    m = min(n, max(k + 1, math.isqrt(n * (k + 1))))
-    bound = np.partition(values[:m], k)[k]
-    chunks = (values[i:i + _SELECT_CHUNK] for i in range(0, n, _SELECT_CHUNK))
-    below = np.concatenate([c[c <= bound] for c in chunks])
-    return np.partition(below, k)[k]
+    return int(np.floor(target_far * n))
 
 
 @dataclass(frozen=True)

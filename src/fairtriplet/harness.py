@@ -239,6 +239,10 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
 
     if resume_from is not None:
         net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
+        missing = [key for key in ("rng_sampler", "rng_miner", "dynamic_weights", "epochs",
+                                   "loss_buffer") if key not in state]
+        if missing:
+            raise ConfigError(f"{resume_from}: checkpoint run state lacks {missing}")
         rng_sampler = _rng_from_state(state["rng_sampler"])
         rng_miner = _rng_from_state(state["rng_miner"])
         if state["dynamic_weights"] is not None:

@@ -75,6 +75,33 @@ def test_train_resume_flag(config_path, tmp_path):
     assert metrics["final_step"] == 4
 
 
+def test_resume_from_a_run_state_without_its_keys_exit_code(config_path, tmp_path, capsys):
+    # A checkpoint of this config whose run state holds only the model hash,
+    # as a checkpoint saved outside a training run does.
+    from fairtriplet.model import load_checkpoint, save_checkpoint
+
+    assert main(["train", "-c", str(config_path), "--stop-after", "2"]) == EXIT_OK
+    ckpt = tmp_path / "run" / "checkpoints" / "ckpt_000002.npz"
+    net, opt, step, config_hash, state = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, net, opt, step, config_hash,
+                    run_state={"model_hash": state["model_hash"]})
+    assert main(["train", "-c", str(config_path), "--resume"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("['rng_sampler', 'rng_miner', 'dynamic_weights', 'epochs', 'loss_buffer']"
+            in err)
+
+
+def test_generate_has_no_seed_option(config_path, tmp_path, capsys):
+    # generate writes the config's data, whose seed is data.seed; a --seed
+    # that changed only the run seed would leave the file as it was.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "-c", str(config_path), "-o", str(tmp_path / "d.npz"),
+              "--seed", "1"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "d.npz").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("data:\n  n_pairs: -5\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -221,22 +222,26 @@ class TestTiledFarCounts:
                 assert matrix.values[i, j] == a / c
 
     def test_impostor_vector_built_once_per_set(self, monkeypatch):
+        # The sorted vector is built once per set, for the theta grid and the
+        # ROC; each calibration makes one bounded pass of its own.
         calls = []
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return impostor_distances(*args)
+        def counting(*args, smallest=None):
+            calls.append((len(args[0]), smallest))
+            return impostor_distances(*args, smallest=smallest)
 
         monkeypatch.setattr(evaluation, "impostor_distances", counting)
         es = make_eval_set(np.random.default_rng(23), 60)
         calibrate_threshold(es, 0.05)
         grid = default_theta_grid(es, 20)
         roc_curve(es, grid)
-        assert calls == [60]
+        calibrate_threshold(es, 0.05)
+        k = int(np.floor(0.05 * 60 * 59))
+        assert calls == [(60, k + 1), (60, None), (60, k + 1)]
         half = es.subset(np.arange(30))
         calibrate_threshold(half, 0.05)
         default_theta_grid(half, 20)
-        assert calls == [60, 30]
+        assert calls[3:] == [(30, int(np.floor(0.05 * 30 * 29)) + 1), (30, None)]
         assert np.array_equal(es.sorted_impostor, np.sort(impostor_distances(
             es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)))
 
@@ -264,6 +269,50 @@ class TestTiledFarCounts:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    @pytest.mark.parametrize("far_first_tile", [False, True])
+    def test_calibration_memory_is_bounded(self, far_first_tile):
+        # The 2000-pair set's impostor vector takes 32 MB; a bounded pass
+        # holds a tile (2 MB), its kept values and the k + 1 = 4000 smallest,
+        # also when its first tile sets a bound above nearly every distance.
+        es = far_first_tile_set(np.random.default_rng(28), 2000, 8) if far_first_tile \
+            else make_eval_set(np.random.default_rng(28), 2000, dim=8)
+        tracemalloc.start()
+        try:
+            calibrate_threshold(es, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+
+def far_first_tile_set(rng, m, dim, ids=None):
+    """An eval set whose docs cluster around one direction, with the first
+    tile's selfies at the antipodes of their docs: far from every doc, so a
+    bound taken from the first tile lies above nearly every distance."""
+    doc = normalize_rows(np.eye(dim)[0] + 0.15 * rng.normal(size=(m, dim)))
+    selfie = normalize_rows(doc + 0.15 * rng.normal(size=(m, dim)))
+    selfie[:128] = -doc[:128]
+    return make_eval_set(rng, m, dim=dim, selfie=selfie, doc=doc, ids=ids)
+
+
+def tied_set(rng, m, dim=2, ids=None):
+    """An eval set of rounded low-dimensional rows: many distances tie."""
+    selfie = normalize_rows(np.round(rng.normal(size=(m, dim)), 1) + 1e-3)
+    doc = normalize_rows(np.round(rng.normal(size=(m, dim)), 1) + 1e-3)
+    return make_eval_set(rng, m, dim=dim, selfie=selfie, doc=doc, ids=ids)
+
+
+def lowest_target(n):
+    """The smallest target FAR that n impostor comparisons resolve: 1/n, or
+    one float step above it where n * (1/n) rounds below 1."""
+    return 1.0 / n if n * (1.0 / n) >= 1.0 else float(np.nextafter(1.0 / n, 1.0))
+
+
+def sorted_calibration(es, target):
+    """The calibration rule read off the set's full impostor vector, sorted."""
+    return calibrate_threshold_from_distances(np.sort(impostor_distances(
+        es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)), target)
 
 
 def scale_rows_off_unit(rng, x, fraction=0.4, max_ulps=3):
@@ -403,60 +452,71 @@ class TestCalibration:
         theta = calibrate_threshold(es, 0.05)
         assert far(es, theta) <= 0.05
 
-    @staticmethod
-    def selected(values, target):
-        """``calibrate_threshold`` on an eval set whose impostor vector is
-        ``values``, in their order; checks that it leaves them in place."""
-        es = make_eval_set(np.random.default_rng(0), 2)
-        es.__dict__["impostor"] = values
-        before = values.tobytes()
-        theta = calibrate_threshold(es, target)
-        assert values.tobytes() == before
-        return theta
-
     def test_selection_equals_sorted_read(self):
         rng = np.random.default_rng(14)
-        n = 1000
-        spread = rng.uniform(0.0, 4.0, n)
-        tied = np.round(rng.uniform(0.0, 4.0, n), 1)  # ~40 values, many ties
-        few = rng.choice([0.5, 1.0, 1.5], n)  # ties at every rank
-        ascending = np.sort(spread)
-        # Every value of the prefix that bounds the selection (the first 600,
-        # more than sqrt(n (k + 1)) for k = 300) lies above the k-th smallest.
-        high_prefix = np.concatenate([ascending[:399:-1], rng.permutation(ascending[:400])])
-        assert high_prefix[:600].min() > np.sort(high_prefix)[300]
-        # n * target == 1 exactly (k = 1), the prefix case's k, and target 1.
-        targets = (1.0 / n, 0.0015, 0.25, 0.3, 0.5, 0.999, 1.0)
-        for values in (spread, tied, few, ascending, ascending[::-1], high_prefix):
-            for order in (values, rng.permutation(values), rng.permutation(values)):
-                for target in targets:
-                    want = calibrate_threshold_from_distances(np.sort(order), target)
-                    assert self.selected(order.copy(), target) == want, target
-                for k in (0, 1, 300, n - 1):
-                    assert evaluation._kth_smallest(order, k) == np.sort(order)[k]
+        m = 600  # 5 tiles, the last overlapping the one before it
+        repeated = rng.integers(0, m // 3, m)
+        sets = {
+            "far first tile": far_first_tile_set(rng, m, 6),
+            "far first tile, repeated ids": far_first_tile_set(rng, m, 6, ids=repeated),
+            "tied": tied_set(rng, m),
+            "tied, repeated ids": tied_set(rng, m, ids=repeated),
+            "spread": make_eval_set(rng, m),
+        }
+        first_tile = sets["far first tile"]
+        d = next(evaluation._distance_tiles(first_tile.selfie_emb, first_tile.doc_emb))[1]
+        full = np.sort(impostor_distances(first_tile.selfie_emb, first_tile.identity_ids,
+                                          first_tile.doc_emb, first_tile.identity_ids))
+        # Every distance of the first tile lies above the 0.25 target's rank.
+        assert d.min() > full[int(0.25 * full.size)]
+        for name, es in sets.items():
+            n = np.count_nonzero(es.identity_ids[:, None] != es.identity_ids[None, :])
+            # n * target == 1 (k = 1), then 0.0015, 0.25, 0.999 and 1.
+            for target in (lowest_target(n), 0.0015, 0.25, 0.999, 1.0):
+                assert calibrate_threshold(es, target) == sorted_calibration(es, target), \
+                    (name, target)
+
+    def test_bounded_pass_holds_the_smallest_values(self):
+        rng = np.random.default_rng(17)
+        es = far_first_tile_set(rng, 300, 6, ids=rng.integers(0, 100, 300))
+        args = es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids
+        full = np.sort(impostor_distances(*args))
+        for smallest in (1, 2, 128, 5_000, full.size - 1, full.size, full.size + 7):
+            kept = np.sort(impostor_distances(*args, smallest=smallest))
+            assert full.size >= kept.size >= min(smallest, full.size)
+            assert kept[:smallest].tobytes() == full[:smallest].tobytes(), smallest
 
     def test_selection_on_small_and_large_sets(self):
+        # 1, 2 and 3 tiles (265 pairs hold 69,960 impostor comparisons), with
+        # one and with repeated ids; test_selection_equals_sorted_read has 5.
         rng = np.random.default_rng(15)
-        for n in (1, 2, 3, 7, 100, 70_000):
-            values = rng.uniform(0.0, 4.0, n)
-            for target in (1.0 / n, 1.5 / n, 0.1, 1.0):
-                if n * target < 1.0:
+        for m in (2, 3, 7, 100, 129, 256, 265):
+            for ids in (None, rng.integers(0, max(m // 2, 2), m)):
+                es = make_eval_set(rng, m, ids=ids)
+                n = np.count_nonzero(es.identity_ids[:, None] != es.identity_ids[None, :])
+                if n == 0:  # every pair shares its id
+                    with pytest.raises(ResolutionError):
+                        calibrate_threshold(es, 1.0)
                     continue
-                want = calibrate_threshold_from_distances(np.sort(values), target)
-                assert self.selected(values.copy(), target) == want, (n, target)
+                for target in (lowest_target(n), 1.5 / n, 0.1, 1.0):
+                    if n * target < 1.0:
+                        continue
+                    assert calibrate_threshold(es, target) == sorted_calibration(es, target), \
+                        (m, target)
 
     def test_calibration_leaves_impostor_order_and_sorts_in_place(self):
+        # Calibration keeps no vector with the set; the sorted one the grid
+        # and the ROC read is built on first use, read-only, and calibrating
+        # again gives the same threshold.
         es = make_eval_set(np.random.default_rng(16), 70)
-        in_tile_order = impostor_distances(es.selfie_emb, es.identity_ids,
-                                           es.doc_emb, es.identity_ids)
         theta = calibrate_threshold(es, 0.05)
-        assert es.impostor.tobytes() == in_tile_order.tobytes()
-        assert not es.impostor.flags.writeable
-        want = np.sort(es.impostor)
+        assert set(vars(es)) == {f.name for f in dataclasses.fields(es)}
+        want = np.sort(impostor_distances(es.selfie_emb, es.identity_ids,
+                                          es.doc_emb, es.identity_ids))
         assert theta == calibrate_threshold_from_distances(want, 0.05)
         sorted_impostor = es.sorted_impostor
         assert sorted_impostor.tobytes() == want.tobytes()
-        assert sorted_impostor is es.impostor  # one buffer, sorted in place
+        assert sorted_impostor is es.sorted_impostor
         assert not sorted_impostor.flags.writeable
         assert calibrate_threshold(es, 0.05) == theta
 

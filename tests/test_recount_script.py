@@ -37,21 +37,44 @@ def test_recount_follows_the_tiles_where_a_dense_product_rounds_apart(tmp_path):
     impostor = ids[:, None] != ids[None, :]
     rows, cols = np.nonzero((tiled != dense) & impostor)
     assert rows.size > 0  # the set has cells the two products round apart
-    theta = float(max(tiled[rows[0], cols[0]], dense[rows[0], cols[0]]))
-    accepted, comparisons = far_counts(selfie, ids, doc, ids, theta)
+    # A cell whose tiled distance lies above its dense one, so that theta is a
+    # tiled value, above the dense one at that cell; the target FAR ranks it.
+    above = np.flatnonzero(tiled[rows, cols] > dense[rows, cols])
+    theta = float(tiled[rows[above[0]], cols[above[0]]])
+    rank = int(np.count_nonzero((tiled < theta) & impostor))
+    comparisons = int(np.count_nonzero(impostor))
+    target_far = (rank + 0.5) / comparisons
+    assert evaluation.calibrate_threshold(
+        EvalSet(selfie, doc, ids, *three_columns(n)), target_far) == theta
+    accepted = far_counts(selfie, ids, doc, ids, theta)[0]
     # One dense product would not reproduce this count.
     assert accepted != int(np.count_nonzero((dense < theta) & impostor))
+    assert recount(tmp_path, selfie, doc, ids, target_far, theta).returncode == 0
 
-    es = EvalSet(selfie, doc, ids, np.array(["poland"] * n), np.array(["EU"] * n),
-                 np.array(["male"] * n))
-    rejected, pairs = frr_counts(es, theta)
+    # A report whose theta is one float step lower, with the counts at that
+    # theta: the counts match, the threshold does not.
+    lower = float(np.nextafter(theta, 0.0))
+    proc = recount(tmp_path, selfie, doc, ids, target_far, lower)
+    assert proc.returncode == 1
+    assert "theta: recount" in proc.stdout and proc.stdout.count("MISMATCH") == 1
+
+
+def three_columns(n):
+    return np.array(["poland"] * n), np.array(["EU"] * n), np.array(["male"] * n)
+
+
+def recount(tmp_path, selfie, doc, ids, target_far, theta):
+    """The recount script on an export of the rows and a report of the counts
+    at ``theta``."""
+    accepted, comparisons = far_counts(selfie, ids, doc, ids, theta)
+    rejected, pairs = frr_counts(EvalSet(selfie, doc, ids, *three_columns(len(ids))), theta)
     write_export(tmp_path / "emb.csv", ids, selfie, doc)
-    (tmp_path / "report.json").write_text(json.dumps({"theta": theta, "overall": {
-        "far_accepted": accepted, "far_comparisons": comparisons,
-        "frr_rejected": rejected, "genuine_pairs": pairs}}))
-    proc = subprocess.run(
+    (tmp_path / "report.json").write_text(json.dumps({
+        "target_far": target_far, "theta": theta, "overall": {
+            "far_accepted": accepted, "far_comparisons": comparisons,
+            "frr_rejected": rejected, "genuine_pairs": pairs}}))
+    return subprocess.run(
         [sys.executable, str(SCRIPT), "--embeddings", str(tmp_path / "emb.csv"),
          "--report", str(tmp_path / "report.json")],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
