@@ -6,11 +6,14 @@ Independent cross-check of eval reports: reads an embedding CSV (produced by
 counts at the report's threshold, and compares them against the report's
 integer counts. It also checks the threshold itself: the floor(target_far *
 n)-th smallest (from 0) of the n impostor distances, or one float step above
-the largest at target 1. Distances follow the toolkit's documented kernel and
-tile shape (see README, "Conventions"); the masking, counting, selection and
-aggregation here are written from scratch on purpose.
+the largest at target 1. When the report names its ROC file (`roc_file`, next
+to the report) and that file holds one curve (no `far_std` column), each row's
+FAR is checked against the impostor distances below its theta. Distances follow
+the toolkit's documented kernel and tile shape (see README, "Conventions"); the
+masking, counting, selection and aggregation here are written from scratch on
+purpose.
 
-Exit code 0 iff the threshold and all counts match exactly.
+Exit code 0 iff the threshold, all counts and all ROC rows match exactly.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +44,22 @@ def load_embeddings(path):
     domains = np.array(domains)
     vecs = np.array(vecs, dtype=np.float64)
     return ids, domains, vecs
+
+
+def roc_checks(path, impostor_d, comparisons):
+    """One (name, recount, file) check per ROC row: the share of the impostor
+    distances below its theta. A curve with `far_std` is a mean over random
+    splits, which this script does not redraw, so it gets none."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(line for line in f if not line.startswith("#"))
+        if "far_std" in reader.fieldnames:
+            print(f"{path.name}: a mean over splits (far_std), rows not recounted")
+            return []
+        rows = list(reader)
+    impostor_d.sort()
+    return [(f"{path.name} far at theta {row['theta']}",
+             int(np.searchsorted(impostor_d, float(row["theta"]), side="left")) / comparisons,
+             float(row["far"])) for row in rows]
 
 
 def main() -> int:
@@ -99,6 +119,9 @@ def main() -> int:
         ("frr_rejected", rejected, report["overall"]["frr_rejected"]),
         ("genuine_pairs", len(genuine), report["overall"]["genuine_pairs"]),
     ]
+    if "roc_file" in report:
+        checks += roc_checks(Path(args.report).parent / report["roc_file"], impostor_d,
+                             comparisons)
     ok = True
     for name, got, want in checks:
         status = "ok" if got == want else "MISMATCH"

@@ -10,10 +10,9 @@ Conventions, fixed across the whole toolkit and its file formats:
   which handles duplicated identities;
 * all rates are ratios of exact integer counts;
 * distances come from :func:`fairtriplet.core.cross_squared_distances` in
-  fixed 128-row selfie tiles (``_tile_windows``); calibration reads its
-  order statistic from one bounded pass over them (no impostor vector), and
-  ``far_counts`` decides on the products of the same tiles, so a threshold
-  calibrated here counts exactly there.
+  fixed 128-row selfie tiles (``_tile_windows``), read one at a time with no
+  impostor vector, and ``far_counts`` decides on the products of the same
+  tiles, so a threshold calibrated here counts exactly there.
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by.
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -92,17 +90,6 @@ class EvalSet:
             self.countries[idx], self.continents[idx], self.genders[idx],
         )
 
-    @cached_property
-    def sorted_impostor(self) -> np.ndarray:
-        """The set's impostor distances (its selfies against its own docs),
-        sorted ascending, read-only; built on first use and kept with the
-        set. Only the theta grid and the ROC read it."""
-        dists = impostor_distances(self.selfie_emb, self.identity_ids,
-                                   self.doc_emb, self.identity_ids)
-        dists.sort()
-        dists.flags.writeable = False
-        return dists
-
 
 def genuine_distances(eval_set: EvalSet) -> np.ndarray:
     d = eval_set.selfie_emb - eval_set.doc_emb
@@ -150,6 +137,17 @@ def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
         d = cross_squared_distances(selfie_emb[rows], doc_emb,
                                     b_norms=doc_norms, out=buf)
         yield lo, d[lo - rows.start:]
+
+
+def _impostor_tiles(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
+                    doc_emb: np.ndarray, doc_ids: np.ndarray):
+    """``_distance_tiles`` flat, with the same-identity cells at +inf, which
+    sorts last and is never below a threshold: a view of one buffer."""
+    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
+    for lo, d in _distance_tiles(selfie_emb, doc_emb):
+        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
+        d[same_rows[a:b] - lo, same_cols[a:b]] = np.inf
+        yield d.reshape(-1)
 
 
 class _Side(NamedTuple):
@@ -244,26 +242,20 @@ def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     With ``smallest``, only some of them, in no set order, among which are
     the ``smallest`` smallest. Before each tile the pass partitions what it
     holds, in place, once that is more than ``smallest`` values, truncates it
-    to the ``smallest`` smallest and from then on keeps only values at or
-    below their largest: a bound never below the ``smallest``-th smallest of
-    all the values.
+    to the ``smallest`` smallest and from then on keeps only values below
+    their largest, which one equal to it cannot displace.
 
     The distances come from the same tiles as ``far_counts``, so a threshold
     taken from them counts exactly there.
     """
-    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
-    n = len(selfie_emb) * len(doc_emb) - same_rows.size
-    keep_buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)), dtype=bool)
-    out = np.empty(n if smallest is None else min(n, smallest + keep_buf.size))
+    tile_cells = min(_TILE_ROWS, len(selfie_emb)) * len(doc_emb)
+    out = np.empty(len(selfie_emb) * len(doc_emb) if smallest is None else smallest + tile_cells)
     pos, bound = 0, np.inf
-    for lo, d in _distance_tiles(selfie_emb, doc_emb):
+    for tile in _impostor_tiles(selfie_emb, selfie_ids, doc_emb, doc_ids):
         if smallest is not None and pos > smallest:
             out[:pos].partition(smallest - 1)
             pos, bound = smallest, out[smallest - 1]
-        keep = np.less_equal(d, bound, out=keep_buf[:len(d)])
-        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
-        keep[same_rows[a:b] - lo, same_cols[a:b]] = False
-        values = d[keep]
+        values = tile[tile < bound]
         out[pos:pos + values.size] = values
         pos += values.size
     return out[:pos]
@@ -378,54 +370,63 @@ class RocCurve:
     frr_std: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not np.all(np.diff(self.thetas) > 0):
+        if np.isnan(self.thetas).any() or not np.all(np.diff(self.thetas) > 0):
             raise ValueError("thetas must be strictly increasing")
         if np.any(np.diff(self.far) < 0) or np.any(np.diff(self.frr) > 0):
             raise ValueError("ROC monotonicity violated")
 
 
-def _sorted_quantiles(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """``np.quantile(sorted_values, qs)`` for an ascending array, with the
-    same index and interpolation arithmetic (the default linear method), read
-    in place. np.quantile partitions a copy of its input, which for a set's
-    impostor vector would double the memory that vector takes."""
-    n = len(sorted_values)
+def _sorted_tiles(eval_set: EvalSet):
+    """The set's ``_impostor_tiles``, each sorted in its buffer."""
+    for tile in _impostor_tiles(eval_set.selfie_emb, eval_set.identity_ids,
+                                eval_set.doc_emb, eval_set.identity_ids):
+        tile.sort()
+        yield tile
+
+
+def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
+    """Threshold grid spanning reject-all to accept-all, from impostor
+    distance quantiles (np.quantile's, bit for bit) whose order statistics
+    bucket select (Alabi et al. 2012, ACM JEA 17) reads in two tile passes."""
+    edges = np.concatenate([[-np.inf], np.arange(4097) / 1024, [np.inf]])
+    below = sum(np.searchsorted(tile, edges) for tile in _sorted_tiles(eval_set))
+    n = int(below[-1])
+    qs = np.linspace(0.0, 1.0, max(points - 2, 2))  # ends at 1: a[-1] is the largest
     virtual = (n - 1) * qs
     prev = np.floor(virtual)
     nxt = prev + 1
     top = virtual >= n - 1
     prev[top] = nxt[top] = -1
     gamma = virtual - prev
-    a = sorted_values[prev.astype(np.intp)]
-    b = sorted_values[nxt.astype(np.intp)]
+    ranks = np.concatenate([prev, nxt]).astype(np.intp) % n  # rank -1 is the largest
+    bucket = np.searchsorted(below, ranks, side="right") - 1  # [edges[b], edges[b + 1])
+    wanted = np.unique(bucket)
+    kept = []
+    for tile in _sorted_tiles(eval_set):
+        cuts = zip(np.searchsorted(tile, edges[wanted]), np.searchsorted(tile, edges[wanted + 1]))
+        kept += [tile[i:j].copy() for i, j in cuts]  # the next tile overwrites this one
+    kept = np.sort(np.concatenate(kept))
+    # Rank r's index among the kept: r, less all values below its bucket, plus the kept ones.
+    a, b = kept[ranks - below[bucket] + np.searchsorted(kept, edges[bucket])].reshape(2, -1)
     diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
-
-
-def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
-    """Threshold grid spanning reject-all to accept-all, from impostor
-    distance quantiles."""
-    dists = eval_set.sorted_impostor
-    qs = np.linspace(0.0, 1.0, max(points - 2, 2))
-    grid = _sorted_quantiles(dists, qs)
-    grid = np.concatenate([[0.0], grid, [np.nextafter(dists[-1], np.inf)]])
-    return np.unique(grid)
+    grid = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=grid, where=gamma >= 0.5)
+    return np.unique(np.concatenate([[0.0], grid, [np.nextafter(a[-1], np.inf)]]))
 
 
 def roc_curve(eval_set: EvalSet, thetas: np.ndarray) -> RocCurve:
-    """FAR/FRR at every grid threshold, via sorted-distance counting.
+    """FAR/FRR at every grid threshold.
 
-    Counting is searchsorted on the same distance arrays far()/frr() use, so
-    single points agree exactly with those operations.
+    Counting is searchsorted on each sorted distance tile and on the genuine
+    distances, so single points agree exactly with far()/frr().
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    imp = eval_set.sorted_impostor
+    edges = np.append(thetas, np.inf)  # below +inf lie all the impostor distances
+    below = sum(np.searchsorted(tile, edges) for tile in _sorted_tiles(eval_set))
     gen = np.sort(genuine_distances(eval_set))
-    fars = np.searchsorted(imp, thetas, side="left") / len(imp)
+    fars = below[:-1] / below[-1]
     frrs = (len(gen) - np.searchsorted(gen, thetas, side="left")) / len(gen)
     return RocCurve(thetas, fars, frrs)
 

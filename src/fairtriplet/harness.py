@@ -74,13 +74,12 @@ def _pin_heap_thresholds() -> None:
     goes back to the OS when freed, and trim the heap top beyond 4 MiB.
 
     glibc otherwise raises both thresholds each time it frees a larger
-    mapped block, up to 32 and 64 MiB. Once a run has freed its first
-    datasets and impostor vector, later ones are carved out of a heap whose
-    resident free space depends on where earlier, unrelated blocks landed:
-    a training run's peak RSS moved by about 10 MB with nothing but the
-    length of its output path. Pinned, the peak is the live arrays plus at
-    most the trim margin. Does nothing where the C library has no
-    ``mallopt``.
+    mapped block, up to 32 and 64 MiB. The miner's round buffers (10.5 MB
+    per thread at N=10240) are then carved out of a heap whose resident free
+    space depends on where earlier, unrelated blocks landed: a paper-scale
+    run's peak RSS moved by 10 to 20 MB with nothing but the length of its
+    output path. Pinned, the peak is the live arrays plus at most the trim
+    margin. Does nothing where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -212,7 +212,8 @@ class TestTiledFarCounts:
         countries = rng.choice(np.array(["poland", "nigeria", "india"]), m)
         es = make_eval_set(rng, m, countries=countries, ids=rng.integers(0, 300, m))
         pools = continent_pools(es)
-        theta = float(np.quantile(es.sorted_impostor, 0.3))
+        theta = float(np.quantile(np.sort(impostor_distances(
+            es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)), 0.3))
         matrix = far_matrix(pools, theta)
         for i, g in enumerate(matrix.groups):
             for j, h in enumerate(matrix.groups):
@@ -221,38 +222,65 @@ class TestTiledFarCounts:
                 assert (matrix.accepted[i, j], matrix.comparisons[i, j]) == (a, c)
                 assert matrix.values[i, j] == a / c
 
-    def test_impostor_vector_built_once_per_set(self, monkeypatch):
-        # The sorted vector is built once per set, for the theta grid and the
-        # ROC; each calibration makes one bounded pass of its own.
-        calls = []
+    def test_tile_passes_per_call(self, monkeypatch):
+        # No impostor vector is kept with a set: each calibration makes one
+        # pass over its distance tiles, the theta grid two and the ROC one
+        # per set or split.
+        passes = []
+        distance_tiles = evaluation._distance_tiles
 
-        def counting(*args, smallest=None):
-            calls.append((len(args[0]), smallest))
-            return impostor_distances(*args, smallest=smallest)
+        def counting(selfie_emb, doc_emb):
+            passes.append(len(selfie_emb))
+            return distance_tiles(selfie_emb, doc_emb)
 
-        monkeypatch.setattr(evaluation, "impostor_distances", counting)
+        monkeypatch.setattr(evaluation, "_distance_tiles", counting)
         es = make_eval_set(np.random.default_rng(23), 60)
         calibrate_threshold(es, 0.05)
+        assert passes == [60]
         grid = default_theta_grid(es, 20)
+        assert passes == [60] * 3
         roc_curve(es, grid)
         calibrate_threshold(es, 0.05)
-        k = int(np.floor(0.05 * 60 * 59))
-        assert calls == [(60, k + 1), (60, None), (60, k + 1)]
-        half = es.subset(np.arange(30))
-        calibrate_threshold(half, 0.05)
-        default_theta_grid(half, 20)
-        assert calls[3:] == [(30, int(np.floor(0.05 * 30 * 29)) + 1), (30, None)]
-        assert np.array_equal(es.sorted_impostor, np.sort(impostor_distances(
-            es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)))
+        assert passes == [60] * 5
+        roc_curve_over_splits(es, grid, n_splits=3, split_fraction=0.5,
+                              rng=np.random.default_rng(0))
+        assert passes == [60] * 5 + [30] * 3
 
-    def test_sorted_quantiles_equal_numpy_bits(self):
+    def test_theta_grid_equals_numpy_quantile_bits(self):
+        # 1, 2, 3 and 5 tiles; n = 2 impostor comparisons (a square set
+        # cannot have n = 1: n = m^2 minus a sum of squares); ties with
+        # repeated ids; distances exactly on bucket edges (0, 2 and 4); and
+        # every distance in one bucket, [2, 2 + 1/1024).
         rng = np.random.default_rng(25)
-        for n in (1, 2, 3, 17, 1000):
-            values = np.sort(np.round(rng.uniform(0.0, 4.0, n), 2))  # with repeats
+        axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        selfie_angles = rng.uniform(0.0, 1e-4, 150)
+        doc_angles = np.pi / 2 + 1e-4 + rng.uniform(0.0, 1e-4, 150)
+        sets = {
+            "n = 2": make_eval_set(rng, 2),
+            "spread, 2 tiles": make_eval_set(rng, 129),
+            "tied, repeated ids, 3 tiles": tied_set(rng, 300, ids=rng.integers(0, 100, 300)),
+            "tied, 5 tiles": tied_set(rng, 600),
+            "on bucket edges": make_eval_set(
+                rng, 200, dim=2, selfie=axes[rng.integers(0, 4, 200)],
+                doc=axes[rng.integers(0, 4, 200)], ids=rng.integers(0, 150, 200)),
+            "one bucket": make_eval_set(
+                rng, 150, dim=2,
+                selfie=np.stack([np.cos(selfie_angles), np.sin(selfie_angles)], axis=1),
+                doc=np.stack([np.cos(doc_angles), np.sin(doc_angles)], axis=1)),
+        }
+        for name, es in sets.items():
+            values = np.sort(impostor_distances(es.selfie_emb, es.identity_ids,
+                                                es.doc_emb, es.identity_ids))
+            if name == "one bucket":
+                assert 2.0 <= values[0] and values[-1] < 2.0 + 1 / 1024
+            if name == "on bucket edges":
+                assert set(np.unique(values).tolist()) == {0.0, 2.0, 4.0}
             for points in (2, 3, 12, 48):
-                qs = np.linspace(0.0, 1.0, points)
-                got = evaluation._sorted_quantiles(values, qs)
-                assert got.tobytes() == np.quantile(values, qs).tobytes(), (n, points)
+                qs = np.linspace(0.0, 1.0, max(points - 2, 2))
+                want = np.unique(np.concatenate(
+                    [[0.0], np.quantile(values, qs), [np.nextafter(values[-1], np.inf)]]))
+                got = default_theta_grid(es, points)
+                assert got.tobytes() == want.tobytes(), (name, points)
 
     def test_memory_is_one_tile(self):
         # A 128-row float tile against 4000 docs is 4.1 MB; a 512-row chunk
@@ -280,6 +308,19 @@ class TestTiledFarCounts:
         tracemalloc.start()
         try:
             calibrate_threshold(es, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+    def test_theta_grid_and_roc_memory_is_bounded(self):
+        # The 2000-pair set's impostor vector takes 32 MB; the grid's passes
+        # hold a tile (2 MB) and the values of the buckets they select, and
+        # the ROC's pass a tile.
+        es = make_eval_set(np.random.default_rng(29), 2000, dim=8)
+        tracemalloc.start()
+        try:
+            roc_curve(es, default_theta_grid(es))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -504,20 +545,14 @@ class TestCalibration:
                     assert calibrate_threshold(es, target) == sorted_calibration(es, target), \
                         (m, target)
 
-    def test_calibration_leaves_impostor_order_and_sorts_in_place(self):
-        # Calibration keeps no vector with the set; the sorted one the grid
-        # and the ROC read is built on first use, read-only, and calibrating
-        # again gives the same threshold.
+    def test_evaluation_leaves_nothing_on_the_set(self):
+        # Calibration, the theta grid and the ROC keep nothing with the set,
+        # and calibrating again gives the same threshold.
         es = make_eval_set(np.random.default_rng(16), 70)
         theta = calibrate_threshold(es, 0.05)
+        assert theta == sorted_calibration(es, 0.05)
+        roc_curve(es, default_theta_grid(es, 20))
         assert set(vars(es)) == {f.name for f in dataclasses.fields(es)}
-        want = np.sort(impostor_distances(es.selfie_emb, es.identity_ids,
-                                          es.doc_emb, es.identity_ids))
-        assert theta == calibrate_threshold_from_distances(want, 0.05)
-        sorted_impostor = es.sorted_impostor
-        assert sorted_impostor.tobytes() == want.tobytes()
-        assert sorted_impostor is es.sorted_impostor
-        assert not sorted_impostor.flags.writeable
         assert calibrate_threshold(es, 0.05) == theta
 
 
@@ -797,6 +832,11 @@ class TestRoc:
                 far=np.array([0.0, 0.1]),
                 frr=np.array([1.0, 0.5]),
             )
+        # A NaN threshold is on no grid (and would count the same-identity
+        # cells, set to +inf on the tiles, as accepted).
+        es = make_eval_set(np.random.default_rng(38), 20, ids=np.repeat(np.arange(10), 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            roc_curve(es, np.array([np.nan]))
 
 
 class TestGenderFar:

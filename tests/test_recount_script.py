@@ -10,6 +10,7 @@ import numpy as np
 
 from fairtriplet import evaluation
 from fairtriplet.core import cross_squared_distances, normalize_rows
+from fairtriplet.dataio import write_roc_csv
 from fairtriplet.evaluation import EvalSet, far_counts, frr_counts
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "recount_far_from_embeddings.py"
@@ -59,20 +60,48 @@ def test_recount_follows_the_tiles_where_a_dense_product_rounds_apart(tmp_path):
     assert "theta: recount" in proc.stdout and proc.stdout.count("MISMATCH") == 1
 
 
+def test_recount_checks_each_roc_row(tmp_path):
+    rng = np.random.default_rng(200)
+    n = 200  # two tiles, with repeated ids
+    selfie = normalize_rows(rng.normal(size=(n, 8)))
+    doc = normalize_rows(rng.normal(size=(n, 8)))
+    ids = rng.integers(0, 150, n)
+    es = EvalSet(selfie, doc, ids, *three_columns(n))
+    theta = evaluation.calibrate_threshold(es, 0.01)
+    curve = evaluation.roc_curve(es, evaluation.default_theta_grid(es, 20))
+    write_roc_csv(tmp_path / "roc.csv", curve)
+    proc = recount(tmp_path, selfie, doc, ids, 0.01, theta, roc_file="roc.csv")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.count("roc.csv far at theta") == len(curve.thetas)
+
+    # One row's FAR one accepted impostor comparison higher.
+    row = len(curve.thetas) // 2
+    accepted, comparisons = far_counts(selfie, ids, doc, ids, curve.thetas[row])
+    lines = (tmp_path / "roc.csv").read_text().splitlines()  # comment, header, rows
+    fields = lines[2 + row].split(",")
+    fields[1] = str((accepted + 1) / comparisons)
+    lines[2 + row] = ",".join(fields)
+    (tmp_path / "roc.csv").write_text("\n".join(lines) + "\n")
+    proc = recount(tmp_path, selfie, doc, ids, 0.01, theta, roc_file="roc.csv")
+    assert proc.returncode == 1
+    mismatches = [line for line in proc.stdout.splitlines() if "MISMATCH" in line]
+    assert len(mismatches) == 1 and mismatches[0].startswith("roc.csv far at theta")
+
+
 def three_columns(n):
     return np.array(["poland"] * n), np.array(["EU"] * n), np.array(["male"] * n)
 
 
-def recount(tmp_path, selfie, doc, ids, target_far, theta):
+def recount(tmp_path, selfie, doc, ids, target_far, theta, **report_keys):
     """The recount script on an export of the rows and a report of the counts
-    at ``theta``."""
+    at ``theta``, with ``report_keys`` added to the report."""
     accepted, comparisons = far_counts(selfie, ids, doc, ids, theta)
     rejected, pairs = frr_counts(EvalSet(selfie, doc, ids, *three_columns(len(ids))), theta)
     write_export(tmp_path / "emb.csv", ids, selfie, doc)
     (tmp_path / "report.json").write_text(json.dumps({
         "target_far": target_far, "theta": theta, "overall": {
             "far_accepted": accepted, "far_comparisons": comparisons,
-            "frr_rejected": rejected, "genuine_pairs": pairs}}))
+            "frr_rejected": rejected, "genuine_pairs": pairs}, **report_keys}))
     return subprocess.run(
         [sys.executable, str(SCRIPT), "--embeddings", str(tmp_path / "emb.csv"),
          "--report", str(tmp_path / "report.json")],
