@@ -16,8 +16,10 @@ import hashlib
 import io
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -307,18 +309,33 @@ def worker_threads(n_tasks: int) -> int:
     return max(1, min(n_tasks, cores // blas))
 
 
+@contextmanager
+def atomic_file(path, mode: str = "wb"):
+    """Open a temporary file beside ``path`` for writing and, once the block
+    ends, sync it and move it over ``path``, so a crash never leaves a part.
+    If the block raises, ``path`` keeps its old bytes and the temporary file
+    is removed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def savez_deterministic(path, arrays: dict) -> None:
-    """Write an .npz archive with fixed zip metadata.
+    """Write an .npz archive with fixed zip metadata, atomically.
 
     np.savez embeds wall-clock timestamps in the zip entries; this writer pins
     them so identical arrays give byte-identical files. np.load reads the
     result like any other .npz.
     """
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+    with atomic_file(path) as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
         for name, arr in arrays.items():
             buf = io.BytesIO()
             np.save(buf, np.asarray(arr))

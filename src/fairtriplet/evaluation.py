@@ -16,12 +16,12 @@ Conventions, fixed across the whole toolkit and its file formats:
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by.
-``far_counts``, ``per_group_far`` and ``far_matrix`` check that each side's
-embeddings are finite when they prepare it, before any counting, and take
-the bracket of every comparison's product cut, in closed form, from one
-``core.product_cuts`` call on the calling thread. ``far_matrix`` prepares
-each pool's two sides once and counts its selfie pools (matrix rows) on up
-to one thread per core that BLAS leaves free (``core.worker_threads``).
+``far_counts`` and ``far_matrix`` check that each side's embeddings are
+finite when they prepare it, before any counting, and each count takes the
+bracket of its comparisons' product cut, in closed form, from its own
+``core.product_cuts`` call. ``far_matrix`` prepares each pool's two sides
+once and counts its selfie pools (matrix rows) on up to one thread per core
+that BLAS leaves free (``core.worker_threads``).
 Every cell is an integer count on the same tiles whichever thread computes
 it, so the matrix does not depend on the thread count.
 """
@@ -59,8 +59,6 @@ class EvalSet:
     selfie_emb: np.ndarray   # (M, d) unit rows
     doc_emb: np.ndarray      # (M, d) unit rows
     identity_ids: np.ndarray  # (M,)
-    countries: np.ndarray
-    continents: np.ndarray
     genders: np.ndarray
 
     def __post_init__(self) -> None:
@@ -79,16 +77,12 @@ class EvalSet:
             selfie_emb=net.forward(dataset.selfie_features),
             doc_emb=net.forward(dataset.doc_features),
             identity_ids=dataset.identity_ids,
-            countries=dataset.countries,
-            continents=dataset.continents,
             genders=dataset.genders,
         )
 
     def subset(self, idx: np.ndarray) -> "EvalSet":
-        return EvalSet(
-            self.selfie_emb[idx], self.doc_emb[idx], self.identity_ids[idx],
-            self.countries[idx], self.continents[idx], self.genders[idx],
-        )
+        return EvalSet(self.selfie_emb[idx], self.doc_emb[idx],
+                       self.identity_ids[idx], self.genders[idx])
 
 
 def genuine_distances(eval_set: EvalSet) -> np.ndarray:
@@ -171,15 +165,6 @@ def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
                  (norms.max(initial=-np.inf), norms.min(initial=np.inf)))
 
 
-def _cuts(pairs: list[tuple[_Side, _Side]], theta: float) -> np.ndarray:
-    """The ``(sure, maybe)`` product cuts of theta for each (selfie, doc)
-    pair of sides, one row per pair, from one ``core.product_cuts`` call:
-    ``sure`` at both sides' largest norms and ``maybe`` at their smallest."""
-    na_max, na_min = np.array([selfie.extremes for selfie, _ in pairs]).T
-    nb_max, nb_min = np.array([doc.extremes for _, doc in pairs]).T
-    return product_cuts(theta, na_max, nb_max, na_min, nb_min).T
-
-
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
                doc_emb: np.ndarray, doc_ids: np.ndarray,
                theta: float) -> tuple[int, int]:
@@ -193,14 +178,13 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     them. Tiles keep their shapes, so every product, and with it every
     decision, is that of the distance tiles.
     """
-    pair = _side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids)
-    return _count_far(*pair, _cuts([pair], theta)[0], theta)
+    return _count_far(_side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids), theta)
 
 
-def _count_far(selfie: _Side, doc: _Side, cuts: np.ndarray,
-               theta: float) -> tuple[int, int]:
-    """``far_counts`` on prepared sides with their ``_cuts``. Allocates its
-    own tile buffers, so calls on different threads share nothing they
+def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
+    """``far_counts`` on prepared sides, with the product cuts of theta at
+    both sides' largest norms (``sure``) and smallest (``maybe``). Allocates
+    its own tile buffers, so calls on different threads share nothing they
     write."""
     same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids, doc.id_order)
     comparisons = len(selfie.emb) * len(doc.emb) - same_rows.size
@@ -208,6 +192,8 @@ def _count_far(selfie: _Side, doc: _Side, cuts: np.ndarray,
         raise ValueError("no impostor comparisons available")
     if not theta > 0:
         return 0, comparisons  # no distance is below theta <= 0 (or NaN)
+    cuts = product_cuts(theta, selfie.extremes[0], doc.extremes[0],
+                        selfie.extremes[1], doc.extremes[1])
     na, nb = selfie.norms, doc.norms
     height = min(_TILE_ROWS, len(selfie.emb))
     buf = np.empty((height, len(doc.emb)))
@@ -326,10 +312,9 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
     k = len(groups)
     selfies = [_side(pools[g].selfie_emb, pools[g].identity_ids) for g in groups]
     docs = [_side(pools[g].doc_emb, pools[g].identity_ids) for g in groups]
-    cuts = _cuts([(s, d) for s in selfies for d in docs], theta).reshape(k, k, 2)
 
     def row(i: int) -> list[tuple[int, int]]:
-        return [_count_far(selfies[i], doc, cut, theta) for doc, cut in zip(docs, cuts[i])]
+        return [_count_far(selfies[i], doc, theta) for doc in docs]
 
     with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
         counts = np.array(list(pool.map(row, range(k))), dtype=np.int64)  # (k, k, 2)
@@ -338,12 +323,8 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
 
 
 def per_group_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:
-    """Within-group FAR per pool at a shared threshold: ``far`` of each
-    pool, with every pool's cuts from one search."""
-    pairs = [(_side(p.selfie_emb, p.identity_ids), _side(p.doc_emb, p.identity_ids))
-             for p in pools.values()]
-    counts = (_count_far(*pair, cuts, theta) for pair, cuts in zip(pairs, _cuts(pairs, theta)))
-    return {g: accepted / comparisons for g, (accepted, comparisons) in zip(pools, counts)}
+    """Within-group FAR per pool at a shared threshold."""
+    return {g: far(pool, theta) for g, pool in pools.items()}
 
 
 def per_group_frr(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:
@@ -377,9 +358,13 @@ class RocCurve:
 
 
 def _sorted_tiles(eval_set: EvalSet):
-    """The set's ``_impostor_tiles``, each sorted in its buffer."""
-    for tile in _impostor_tiles(eval_set.selfie_emb, eval_set.identity_ids,
-                                eval_set.doc_emb, eval_set.identity_ids):
+    """The set's ``_impostor_tiles``, each sorted in its buffer. Raises
+    ``far_counts``' error on a set with no impostor comparisons, which has
+    neither quantiles nor a FAR."""
+    ids = eval_set.identity_ids
+    if same_identity_pairs(ids, ids)[0].size == len(ids) ** 2:
+        raise ValueError("no impostor comparisons available")
+    for tile in _impostor_tiles(eval_set.selfie_emb, ids, eval_set.doc_emb, ids):
         tile.sort()
         yield tile
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import ConfigError, Dataset, axis_groups
+from .core import ConfigError, Dataset, atomic_file, axis_groups
 from .datagen import generate_dataset
 from .dataio import (
     load_dataset,
@@ -143,18 +142,9 @@ class RunRecord:
 
 
 def _dump_json(path: Path, obj: dict) -> None:
-    """Write through a synced temporary file, so a crash never leaves a part."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_file(path, "w") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def _shared_geometry_seed(cfg: ExperimentConfig) -> int:
@@ -407,8 +397,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     es, theta, overall, pools = _measure(net, eval_ds, pool_ds, cfg.eval.target_far)
     matrix = far_matrix(pools, theta, axis=cfg.eval.matrix_axis)
     # The diagonal cells are the within-group counts per_group_far would redo.
-    g_far = {g: int(matrix.accepted[i, i]) / int(matrix.comparisons[i, i])
-             for i, g in enumerate(matrix.groups)}
+    g_far = dict(zip(matrix.groups, np.diagonal(matrix.values).tolist()))
     g_frr = per_group_frr(pools, theta)
     genders = per_group_far(gender_pools(es), theta)
 

@@ -34,8 +34,8 @@ the calling thread. Workers pack the selfie anchors' rows to bits and the
 document anchors' columns to bytes; the calling thread takes the blocks in
 block order, picks each block's selfie anchors, and puts its columns into an
 N x ceil(N/64)*8-byte bit matrix, whose rows it picks after the last block.
-A pick reads per-row candidate counts and the k-th set bit from word
-popcounts and byte lookup tables. No N x N float matrix, boolean mask,
+A pick reads per-row candidate counts and the k-th set bit from word and
+byte popcounts and a byte lookup table. No N x N float matrix, boolean mask,
 transposed copy or N^2 nonzero scan is built: memory is O(N *
 MINE_BLOCK_ROWS) floats per thread plus N^2/8 bytes.
 
@@ -81,22 +81,11 @@ _PICK_ROWS = 8 * MINE_BLOCK_ROWS
 # a second thread only from 16 blocks (N > 1920) on.
 _BLOCKS_PER_THREAD = 8
 
-# Byte tables for masks packed in little bit order (bit t of byte b is column
-# 8b + t): _POPCOUNT[v] counts the set bits of v and _SELECT[v, r] is the
-# position of its r-th set bit.
+# Byte table for masks packed in little bit order (bit t of byte b is column
+# 8b + t): _SELECT[v, r] is the position of the r-th set bit of v.
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_POPCOUNT = _BITS.sum(axis=1).astype(np.uint8)
 _SELECT = np.argsort(1 - _BITS, axis=1, kind="stable").astype(np.uint8)
 _BIT_WEIGHTS = np.left_shift(1, np.arange(8)).astype(np.uint8)
-
-
-def _byte_table_popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, from the byte table."""
-    return _POPCOUNT.take(words.view(np.uint8)).reshape(*words.shape, 8).sum(axis=-1)
-
-
-# numpy has bitwise_count from 2.0 on.
-_word_popcounts = getattr(np, "bitwise_count", _byte_table_popcounts)
 
 
 def _packed_width(n: int) -> int:
@@ -318,7 +307,7 @@ def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     word, then the bit from the byte table."""
     words = bits.view(np.uint64)
     width = words.shape[1]
-    word_counts = _word_popcounts(words).ravel()
+    word_counts = np.bitwise_count(words).ravel()
     cum = np.cumsum(word_counts, dtype=np.int64)
     row_end = cum[width - 1::width]
     counts = np.diff(row_end, prepend=0)
@@ -330,7 +319,7 @@ def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     word = np.searchsorted(cum, target, side="right")
     rank = target - (cum[word] - word_counts[word])  # within the word
     word_bytes = bits.reshape(-1, 8)[word].ravel()
-    byte_counts = _POPCOUNT[word_bytes]
+    byte_counts = np.bitwise_count(word_bytes)
     byte_cum = np.cumsum(byte_counts, dtype=np.int64)
     first = np.arange(0, word_bytes.size, 8)
     target = byte_cum[first] - byte_counts[first] + rank

@@ -109,8 +109,6 @@ def test_criterion_1_metric_oracle_equivalence():
         accepted, comparisons = far_counts(selfie, ids, doc, ids, theta)
         es = EvalSet(
             selfie_emb=selfie, doc_emb=doc, identity_ids=ids,
-            countries=np.array(["poland"] * m),
-            continents=np.array(["EU"] * m),
             genders=np.array(["male"] * m),
         )
         rejected, total = frr_counts(es, theta)
@@ -396,8 +394,6 @@ def test_criterion_8_calibration_contract():
             selfie_emb=normalize_rows(r.normal(size=(m, 5))),
             doc_emb=normalize_rows(r.normal(size=(m, 5))),
             identity_ids=np.arange(m, dtype=np.int64),
-            countries=np.array(["poland"] * m),
-            continents=np.array(["EU"] * m),
             genders=np.array(["male"] * m),
         )
         grid = default_theta_grid(es, 30)

@@ -34,26 +34,24 @@ from fairtriplet.evaluation import (
 )
 
 
-def make_eval_set(rng, m, dim=6, countries=None, genders=None, ids=None,
-                  selfie=None, doc=None):
+def make_eval_set(rng, m, dim=6, genders=None, ids=None, selfie=None, doc=None):
     selfie = selfie if selfie is not None else normalize_rows(rng.normal(size=(m, dim)))
     doc = doc if doc is not None else normalize_rows(rng.normal(size=(m, dim)))
-    countries = countries if countries is not None else np.array(["poland"] * m)
-    lut = {"poland": "EU", "nigeria": "AF", "india": "AS", "usa": "AM"}
     return EvalSet(
         selfie_emb=selfie,
         doc_emb=doc,
         identity_ids=ids if ids is not None else np.arange(m, dtype=np.int64),
-        countries=countries,
-        continents=np.array([lut[c] for c in countries.tolist()]),
         genders=genders if genders is not None else np.array(["male"] * m),
     )
 
 
-def continent_pools(es):
-    """One pool per continent present, in order of first appearance."""
-    return {g: es.subset(np.flatnonzero(es.continents == g))
-            for g in dict.fromkeys(es.continents.tolist())}
+def continent_pools(es, countries):
+    """One pool per continent of the pairs' countries, in order of first
+    appearance."""
+    lut = {"poland": "EU", "nigeria": "AF", "india": "AS", "usa": "AM"}
+    continents = np.array([lut[c] for c in countries.tolist()])
+    return {g: es.subset(np.flatnonzero(continents == g))
+            for g in dict.fromkeys(continents.tolist())}
 
 
 def brute_force_far(es, theta, doc_es=None):
@@ -210,8 +208,8 @@ class TestTiledFarCounts:
         rng = np.random.default_rng(22)
         m = 400
         countries = rng.choice(np.array(["poland", "nigeria", "india"]), m)
-        es = make_eval_set(rng, m, countries=countries, ids=rng.integers(0, 300, m))
-        pools = continent_pools(es)
+        es = make_eval_set(rng, m, ids=rng.integers(0, 300, m))
+        pools = continent_pools(es, countries)
         theta = float(np.quantile(np.sort(impostor_distances(
             es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids)), 0.3))
         matrix = far_matrix(pools, theta)
@@ -561,12 +559,12 @@ class TestFarMatrix:
         rng = np.random.default_rng(13)
         m = 300
         countries = np.array((["poland"] * (m // 2)) + (["india"] * (m // 2)))
-        es = make_eval_set(rng, m, countries=countries)
+        es = make_eval_set(rng, m)
         theta = np.quantile(
             impostor_distances(es.selfie_emb, es.identity_ids,
                                es.doc_emb, es.identity_ids), 0.2,
         )
-        pools = continent_pools(es)
+        pools = continent_pools(es, countries)
         matrix = far_matrix(pools, float(theta), axis="continent")
         # Exchangeable groups: every cell estimates the same rate.
         p = matrix.values.mean()
@@ -579,8 +577,8 @@ class TestFarMatrix:
     def test_theta_zero_gives_zero_matrix(self):
         rng = np.random.default_rng(14)
         countries = np.array(["poland"] * 10 + ["nigeria"] * 10)
-        es = make_eval_set(rng, 20, countries=countries)
-        pools = continent_pools(es)
+        es = make_eval_set(rng, 20)
+        pools = continent_pools(es, countries)
         matrix = far_matrix(pools, 0.0)
         assert np.all(matrix.values == 0.0)
 
@@ -588,10 +586,10 @@ class TestFarMatrix:
         rng = np.random.default_rng(16)
         m = 400
         countries = np.array((["poland"] * (m // 2)) + (["india"] * (m // 2)))
-        es = make_eval_set(rng, m, countries=countries)
+        es = make_eval_set(rng, m)
         theta = 1.5
         pooled = far(es, theta)
-        pools = continent_pools(es)
+        pools = continent_pools(es, countries)
         diag = per_group_far(pools, theta)
         for g, v in diag.items():
             n = m // 2 * (m // 2 - 1)
@@ -720,8 +718,7 @@ class TestThreadedFarMatrix:
 
 
 class TestCutsPerCall:
-    """``far_counts``, ``per_group_far`` and ``far_matrix`` take every cut
-    from one ``core.product_cuts`` call on the calling thread."""
+    """Counts on pools whose norms differ, each with its own product cuts."""
 
     @staticmethod
     def off_unit_pools(rng, sizes=(2, 127, 129, 300)):
@@ -742,28 +739,6 @@ class TestCutsPerCall:
                 a, c = far_counts(pool.selfie_emb, pool.identity_ids,
                                   pool.doc_emb, pool.identity_ids, theta)
                 assert np.float64(got[g]).tobytes() == np.float64(a / c).tobytes(), (g, theta)
-
-    def test_one_search_per_call_on_the_calling_thread(self, monkeypatch):
-        pools = self.off_unit_pools(np.random.default_rng(35))
-        monkeypatch.setattr(evaluation, "worker_threads", lambda n: min(n, 2))
-        calls = []
-
-        def counting(*args):
-            calls.append((threading.get_ident(), np.broadcast(*args).size))
-            return search(*args)
-
-        search = evaluation.product_cuts
-        monkeypatch.setattr(evaluation, "product_cuts", counting)
-        me = threading.get_ident()
-        pool = pools["g2"]
-        far_counts(pool.selfie_emb, pool.identity_ids, pool.doc_emb, pool.identity_ids, 1.0)
-        assert calls == [(me, 1)]
-        calls.clear()
-        per_group_far(pools, 1.0)
-        assert calls == [(me, len(pools))]
-        calls.clear()
-        far_matrix(pools, 1.0)
-        assert calls == [(me, len(pools) ** 2)]
 
     def test_nan_theta_accepts_nothing(self):
         pools = self.off_unit_pools(np.random.default_rng(36))
@@ -808,6 +783,14 @@ class TestRoc:
         assert gen.max() < imp.min()
         theta = (gen.max() + imp.min()) / 2
         assert far(es, theta) == 0.0 and frr(es, theta) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_impostor_comparisons_rejected(self):
+        es = make_eval_set(np.random.default_rng(39), 3, ids=np.array([5, 5, 5]))
+        with pytest.raises(ValueError, match="^no impostor comparisons available$"):
+            default_theta_grid(es)
+        with pytest.raises(ValueError, match="^no impostor comparisons available$"):
+            roc_curve(es, np.array([0.5, 1.0]))
 
     def test_monotone_invariants(self):
         es = make_eval_set(np.random.default_rng(18), 80)

@@ -508,13 +508,6 @@ class TestProductCutMasks:
         anchors, _, _ = mine_semi_hard(batch, 0.6, np.random.default_rng(20))
         assert started == pools_started and anchors.size == 0
 
-    def test_byte_table_popcounts_match_bit_counts(self):
-        words = np.random.default_rng(16).integers(0, 2**63, (7, 5), dtype=np.uint64)
-        words[0, 0], words[0, 1] = 0, np.iinfo(np.uint64).max
-        want = [[bin(int(w)).count("1") for w in row] for row in words]
-        assert mining._byte_table_popcounts(words).tolist() == want
-        assert mining._word_popcounts(words).tolist() == want
-
 
 class TestScheduleMinibatches:
     def _trips(self, k):

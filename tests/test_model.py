@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -357,6 +358,25 @@ class TestCheckpoint:
             assert z["header"].dtype == np.uint8
             header = json.loads(z["header"].tobytes().decode("utf-8"))
         assert header["shapes"] == [list(s) for s in net.shapes]
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        net = make_net()
+        state = OptimizerState.for_network(net, 1e-3, 1e-5, 7)
+        path = tmp_path / "ckpt_000000.npz"
+        save_checkpoint(path, net, state, 0, "x")
+        before = path.read_bytes()
+        writestr = zipfile.ZipFile.writestr
+
+        def fail_after_header(zf, info, data):
+            if info.filename != "header.npy":
+                raise OSError("disk full")
+            writestr(zf, info, data)
+
+        monkeypatch.setattr(zipfile.ZipFile, "writestr", fail_after_header)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net, state, 1, "x")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_hash_mismatch_rejected(self, tmp_path):
         net = make_net()

@@ -46,7 +46,7 @@ def test_recount_follows_the_tiles_where_a_dense_product_rounds_apart(tmp_path):
     comparisons = int(np.count_nonzero(impostor))
     target_far = (rank + 0.5) / comparisons
     assert evaluation.calibrate_threshold(
-        EvalSet(selfie, doc, ids, *three_columns(n)), target_far) == theta
+        EvalSet(selfie, doc, ids, male_genders(n)), target_far) == theta
     accepted = far_counts(selfie, ids, doc, ids, theta)[0]
     # One dense product would not reproduce this count.
     assert accepted != int(np.count_nonzero((dense < theta) & impostor))
@@ -66,7 +66,7 @@ def test_recount_checks_each_roc_row(tmp_path):
     selfie = normalize_rows(rng.normal(size=(n, 8)))
     doc = normalize_rows(rng.normal(size=(n, 8)))
     ids = rng.integers(0, 150, n)
-    es = EvalSet(selfie, doc, ids, *three_columns(n))
+    es = EvalSet(selfie, doc, ids, male_genders(n))
     theta = evaluation.calibrate_threshold(es, 0.01)
     curve = evaluation.roc_curve(es, evaluation.default_theta_grid(es, 20))
     write_roc_csv(tmp_path / "roc.csv", curve)
@@ -88,15 +88,15 @@ def test_recount_checks_each_roc_row(tmp_path):
     assert len(mismatches) == 1 and mismatches[0].startswith("roc.csv far at theta")
 
 
-def three_columns(n):
-    return np.array(["poland"] * n), np.array(["EU"] * n), np.array(["male"] * n)
+def male_genders(n):
+    return np.array(["male"] * n)
 
 
 def recount(tmp_path, selfie, doc, ids, target_far, theta, **report_keys):
     """The recount script on an export of the rows and a report of the counts
     at ``theta``, with ``report_keys`` added to the report."""
     accepted, comparisons = far_counts(selfie, ids, doc, ids, theta)
-    rejected, pairs = frr_counts(EvalSet(selfie, doc, ids, *three_columns(len(ids))), theta)
+    rejected, pairs = frr_counts(EvalSet(selfie, doc, ids, male_genders(len(ids))), theta)
     write_export(tmp_path / "emb.csv", ids, selfie, doc)
     (tmp_path / "report.json").write_text(json.dumps({
         "target_far": target_far, "theta": theta, "overall": {
