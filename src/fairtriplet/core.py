@@ -314,12 +314,13 @@ def atomic_file(path, mode: str = "wb"):
     """Open a temporary file beside ``path`` for writing and, once the block
     ends, sync it and move it over ``path``, so a crash never leaves a part.
     If the block raises, ``path`` keeps its old bytes and the temporary file
-    is removed."""
+    is removed. A text file translates no newlines, so what is written is
+    what lands."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, mode, newline=None if "b" in mode else "") as f:
             yield f
             f.flush()
             os.fsync(f.fileno())

@@ -271,10 +271,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     eps_selfie = rng.standard_normal((n, d))
     eps_doc = rng.standard_normal((n, d))
 
-    continent_by_country = np.array([continent_of(c) for c in COUNTRIES])
-    continents_idx = np.array(
-        [CONTINENTS.index(k) for k in continent_by_country[country_idx]]
-    )
+    continents_idx = np.array([CONTINENTS.index(continent_of(c)) for c in COUNTRIES])[country_idx]
 
     # Gender via inverse CDF of the per-continent split.
     gender_cdf = np.zeros((len(CONTINENTS), len(GENDERS)))

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import TAXONOMY_HASH, ConfigError, Dataset, savez_deterministic
+from .core import TAXONOMY_HASH, ConfigError, Dataset, atomic_file, savez_deterministic
 from .model import EmbeddingNetwork
 
 DATASET_FORMAT_VERSION = 1
@@ -58,10 +58,9 @@ def _fmt(x: float) -> str:
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list],
                comment: str | None = None) -> None:
     """Write ``header`` and ``rows`` as CSV, after a ``# comment`` line when
-    one is given, making the parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+    one is given, making the parent directories; atomically, like every
+    output file."""
+    with atomic_file(path, "w") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
         writer = csv.writer(f)

@@ -15,7 +15,8 @@ Conventions, fixed across the whole toolkit and its file formats:
   tiles, so a threshold calibrated here counts exactly there.
 
 Counting decides ``d < theta`` on each tile's raw product with
-``core.decide_below``, the rule the miner decides its candidates by.
+``core.decide_below``, the rule the miner decides its candidates by, once
+the tile's same-identity products are -inf, which no cut lies below.
 ``far_counts`` and ``far_matrix`` check that each side's embeddings are
 finite when they prepare it, before any counting, and each count takes the
 bracket of its comparisons' product cut, in closed form, from its own
@@ -174,9 +175,10 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     of ``_tile_windows``, without forming its distance, by
     ``core.decide_below`` with the product cuts of theta at the sides'
     extreme norms. The same-identity cells (found once per call from a sort
-    of the doc ids) are taken out of the count where the tile's mask accepts
-    them. Tiles keep their shapes, so every product, and with it every
-    decision, is that of the distance tiles.
+    of the doc ids) get the product -inf before their tile is decided, which
+    is above no cut, as ``_impostor_tiles`` gives them the distance +inf.
+    Tiles keep their shapes, so every product, and with it every decision,
+    is that of the distance tiles.
     """
     return _count_far(_side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids), theta)
 
@@ -201,12 +203,10 @@ def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
     accepted = 0
     for lo, rows in _tile_windows(len(selfie.emb)):
         g = np.matmul(selfie.emb[rows], doc.emb.T, out=buf)[lo - rows.start:]
-        mask = mask_buf[:len(g)]
-        n_accepted = decide_below(g, cuts, theta, na[lo:lo + len(g), None], nb, mask)
-        if n_accepted:
-            a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
-            same = mask[same_rows[a:b] - lo, same_cols[a:b]]
-            accepted += n_accepted - int(np.count_nonzero(same))
+        a, b = np.searchsorted(same_rows, (lo, lo + len(g)))
+        g[same_rows[a:b] - lo, same_cols[a:b]] = -np.inf
+        accepted += decide_below(g, cuts, theta, na[lo:lo + len(g), None], nb,
+                                 mask_buf[:len(g)])
     return accepted, comparisons
 
 
@@ -294,7 +294,6 @@ class FarMatrix:
     """Cross-group FAR grid: cell (g, h) compares selfies from g with docs
     from h; diagonal cells are within-group impostors."""
 
-    axis: str
     groups: tuple[str, ...]
     theta: float
     values: np.ndarray      # (k, k) float
@@ -307,7 +306,7 @@ class FarMatrix:
             raise ValueError("matrix shape does not match group count")
 
 
-def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continent") -> FarMatrix:
+def far_matrix(pools: Mapping[str, EvalSet], theta: float) -> FarMatrix:
     groups = tuple(pools)
     k = len(groups)
     selfies = [_side(pools[g].selfie_emb, pools[g].identity_ids) for g in groups]
@@ -319,7 +318,7 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float, axis: str = "continen
     with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
         counts = np.array(list(pool.map(row, range(k))), dtype=np.int64)  # (k, k, 2)
     accepted, comparisons = counts[..., 0], counts[..., 1]
-    return FarMatrix(axis, groups, theta, accepted / comparisons, accepted, comparisons)
+    return FarMatrix(groups, theta, accepted / comparisons, accepted, comparisons)
 
 
 def per_group_far(pools: Mapping[str, EvalSet], theta: float) -> dict[str, float]:

@@ -228,16 +228,13 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
 
     if resume_from is not None:
         net, opt, start_step, _, state = load_checkpoint(resume_from, full_hash)
-        missing = [key for key in ("rng_sampler", "rng_miner", "dynamic_weights", "epochs",
-                                   "loss_buffer") if key not in state]
+        missing = [key for key in ("rng_sampler", "rng_miner", "epochs", "loss_buffer")
+                   if key not in state]
         if missing:
             raise ConfigError(f"{resume_from}: checkpoint run state lacks {missing}")
         rng_sampler = _rng_from_state(state["rng_sampler"])
         rng_miner = _rng_from_state(state["rng_miner"])
-        if state["dynamic_weights"] is not None:
-            sampler = replace(sampler, weights=state["dynamic_weights"])
-        record = RunRecord(config_hash=full_hash, epochs=state["epochs"],
-                           final_step=start_step)
+        epochs: list[dict] = state["epochs"]
         loss_buffer: list[float] = state["loss_buffer"]
     else:
         # A longer run into this directory may have left later checkpoints,
@@ -255,8 +252,12 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
         start_step = 0
         rng_sampler = stream_rng(cfg, "sampler")
         rng_miner = stream_rng(cfg, "miner")
-        record = RunRecord(config_hash=full_hash)
+        epochs = []
         loss_buffer = []
+    record = RunRecord(config_hash=full_hash, epochs=epochs, final_step=start_step)
+    # The last validation's update is the dynamic sampler's current weights.
+    if sampler.variant == "dynamic" and epochs:
+        sampler = replace(sampler, weights=epochs[-1]["dynamic_weights"])
 
     def save_state(step: int) -> None:
         save_checkpoint(
@@ -265,7 +266,6 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
                 "model_hash": cfg.model_hash(),
                 "rng_sampler": rng_sampler.bit_generator.state,
                 "rng_miner": rng_miner.bit_generator.state,
-                "dynamic_weights": sampler.weights if sampler.variant == "dynamic" else None,
                 "epochs": record.epochs,
                 "loss_buffer": loss_buffer,
             },
@@ -326,10 +326,9 @@ def _train_round(train_ds: Dataset, sampler: SamplerSpec, net: EmbeddingNetwork,
     batch = assemble_batch(train_ds, sampler, tcfg.batch_n, rng_sampler).embed_with(net)
     triplets = mine_semi_hard(batch, tcfg.margin, rng_miner)
     minibatches = schedule_minibatches(triplets, tcfg.minibatch_size, rng_miner)
-    features = batch.flat_features()
     losses = []
     for mb in minibatches:
-        loss, grads = loss_gradients(net, features, mb, tcfg.margin)
+        loss, grads = loss_gradients(net, batch.features, mb, tcfg.margin)
         adam_step(opt, net, grads)
         losses.append(loss)
     return float(np.mean(losses)) if losses else 0.0
@@ -395,7 +394,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
         cfg, cfg.eval.matrix_axis, "datagen-eval-pools", cfg.eval.group_pool_size
     )
     es, theta, overall, pools = _measure(net, eval_ds, pool_ds, cfg.eval.target_far)
-    matrix = far_matrix(pools, theta, axis=cfg.eval.matrix_axis)
+    matrix = far_matrix(pools, theta)
     # The diagonal cells are the within-group counts per_group_far would redo.
     g_far = dict(zip(matrix.groups, np.diagonal(matrix.values).tolist()))
     g_frr = per_group_frr(pools, theta)

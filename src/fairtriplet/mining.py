@@ -2,7 +2,8 @@
 minibatch scheduling.
 
 A selection batch of N pairs is flattened to 2N images: index i in [0, N) is
-the selfie of batch slot i and index N + i its document. Each slot yields up
+the selfie of batch slot i and index N + i its document, the row order of
+``MiningBatch.features``. Each slot yields up
 to two triplets, one per anchor domain; the positive is the anchor's other
 view and the negative is drawn uniformly from the slot's semi-hard candidate
 set (same domain as the positive, different identity, closer to the anchor
@@ -23,7 +24,8 @@ own norm and the documents' extreme norms, and per document anchor
 ``evaluation.far_counts`` counts FAR by, decides each orientation's mask
 from them: a cell above its ``sure`` cut is a candidate and a cell at or
 below its ``maybe`` cut is not; only the cells between the two (usually
-none) get the kernel's arithmetic on their own product and norms. So both
+none) get the kernel's arithmetic on their own product and norms, and
+same-identity cells get the product -inf first, which no cut takes. So both
 orientations' masks are exactly those of ``d < limit`` on the distance
 blocks, with none of the kernel's elementwise passes.
 
@@ -101,9 +103,7 @@ Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
 class MiningBatch:
     pair_indices: np.ndarray    # (N,) indices into the source dataset
     identity_ids: np.ndarray    # (N,)
-    groups: np.ndarray          # (N,) group tag on the sampler's axis
-    selfie_features: np.ndarray  # (N, input_dim)
-    doc_features: np.ndarray
+    features: np.ndarray        # (2N, input_dim): selfie i at row i, its doc at N + i
     selfie_emb: np.ndarray | None = None  # (N, embed_dim), unit rows
     doc_emb: np.ndarray | None = None
 
@@ -111,16 +111,12 @@ class MiningBatch:
     def n(self) -> int:
         return len(self.pair_indices)
 
-    def flat_features(self) -> np.ndarray:
-        """(2N, input_dim) image matrix in the flattened index convention."""
-        return np.vstack([self.selfie_features, self.doc_features])
-
     def embed_with(self, net: EmbeddingNetwork) -> "MiningBatch":
         """Attach embeddings from a frozen network snapshot."""
         return replace(
             self,
-            selfie_emb=net.forward(self.selfie_features),
-            doc_emb=net.forward(self.doc_features),
+            selfie_emb=net.forward(self.features[:self.n]),
+            doc_emb=net.forward(self.features[self.n:]),
         )
 
 
@@ -147,13 +143,11 @@ def assemble_batch(dataset: Dataset, sampler: SamplerSpec, n: int,
             members = index[g]
             pair_idx[rows] = members[(u[rows] * len(members)).astype(np.int64)]
 
-    tags = dataset.labels(sampler.axis)
     return MiningBatch(
         pair_indices=pair_idx,
         identity_ids=dataset.identity_ids[pair_idx],
-        groups=tags[pair_idx],
-        selfie_features=dataset.selfie_features[pair_idx],
-        doc_features=dataset.doc_features[pair_idx],
+        features=np.concatenate([dataset.selfie_features[pair_idx],
+                                 dataset.doc_features[pair_idx]]),
     )
 
 
@@ -230,24 +224,23 @@ def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     . doc``, whose matmul call and shape are those of the distance block
     ``cross_squared_distances`` would compute, so every decision is the
     one ``d < limit`` would make on that block's distances. Same-identity
-    cells (the diagonal included) are cleared from the round's sort of the
-    identity ids rather than an N x N comparison. Runs on worker threads:
-    it writes only to ``buffers`` and to the arrays it returns."""
+    cells (the diagonal included), found from the round's sort of the
+    identity ids rather than an N x N comparison, get the product -inf
+    first, so neither decision takes them. Runs on worker threads: it
+    writes only to ``buffers`` and to the arrays it returns."""
     n = len(plan.doc)
     r1 = min(r0 + MINE_BLOCK_ROWS, n)
     rows = r1 - r0
     g = np.matmul(plan.selfie[r0:r1], plan.doc.T, out=buffers.g[:rows])
-    mask = buffers.mask[:rows, :n]
     lo, hi = np.searchsorted(plan.same_rows, (r0, r1))
-    same = plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]
+    g[plan.same_rows[lo:hi] - r0, plan.same_cols[lo:hi]] = -np.inf
+    mask = buffers.mask[:rows, :n]
     na, nb = plan.na[r0:r1, None], plan.nb[None, :]
 
     decide_below(g, plan.row_cuts[:, r0:r1, None], plan.limit[r0:r1, None], na, nb, mask)
-    mask[same] = False
     selfie_bits = np.packbits(buffers.mask[:rows], axis=1, bitorder="little")
 
     decide_below(g, plan.col_cuts[:, None, :], plan.limit[None, :], na, nb, mask)
-    mask[same] = False
     padded = buffers.mask[:-(-rows // 8) * 8]
     padded[rows:] = False
     # np.packbits(padded, axis=0, bitorder="little").T without numpy's slow

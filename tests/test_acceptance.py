@@ -186,9 +186,7 @@ def _random_mining_batch(rng, n, dim=6):
     return MiningBatch(
         pair_indices=np.arange(n),
         identity_ids=ids,
-        groups=np.array(["g"] * n),
-        selfie_features=rng.normal(size=(n, dim)),
-        doc_features=rng.normal(size=(n, dim)),
+        features=np.vstack([rng.normal(size=(n, dim)), rng.normal(size=(n, dim))]),
         selfie_emb=normalize_rows(rng.normal(size=(n, dim))),
         doc_emb=normalize_rows(rng.normal(size=(n, dim))),
     )
@@ -346,7 +344,7 @@ def test_criterion_7_sampler_statistics():
         drawn = 0
         while drawn < n_draws:
             batch = assemble_batch(ds, spec, 1000, rng)
-            for g in batch.groups.tolist():
+            for g in ds.labels(spec.axis)[batch.pair_indices].tolist():
                 counts[g] += 1
             drawn += batch.n
         for g, p in probs.items():

@@ -8,6 +8,7 @@ from fairtriplet.dataio import (
     read_embeddings_csv,
     save_dataset,
     write_embeddings_csv,
+    write_summary_csv,
 )
 from fairtriplet.model import EmbeddingNetwork
 
@@ -65,3 +66,23 @@ class TestEmbeddingExport:
         assert np.array_equal(vecs[~selfie_rows], net.forward(dataset.doc_features))
         assert np.array_equal(ids[selfie_rows], dataset.identity_ids)
         assert np.array_equal(countries[selfie_rows], dataset.countries)
+
+
+class TestCsvOutputs:
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, [{"run": "a", "theta": 0.5}])
+        before = path.read_bytes()
+        assert before == b"run,theta\r\na,0.5\r\n"
+
+        class Unwritable:
+            def __str__(self):
+                raise OSError("disk full")
+
+        # Enough rows ahead of the failure to fill the file buffer, so a
+        # direct write would leave a truncated file behind.
+        rows = [{"run": f"r{i}", "theta": 0.25} for i in range(5000)]
+        with pytest.raises(OSError, match="disk full"):
+            write_summary_csv(path, rows + [{"run": "bad", "theta": Unwritable()}])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -565,7 +565,7 @@ class TestFarMatrix:
                                es.doc_emb, es.identity_ids), 0.2,
         )
         pools = continent_pools(es, countries)
-        matrix = far_matrix(pools, float(theta), axis="continent")
+        matrix = far_matrix(pools, float(theta))
         # Exchangeable groups: every cell estimates the same rate.
         p = matrix.values.mean()
         for i in range(2):

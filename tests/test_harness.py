@@ -268,17 +268,18 @@ class TestTrainingRuns:
         for k in outs_a:
             assert outs_a[k] == outs_b[k], k
 
-    # Stop at a validation step, between validations, and at the end; the
-    # last case is `train --resume` on a finished run. The dynamic sampler
-    # draws its groups in the order of its weights, which the checkpoint must
-    # keep; on neither axis is that order sorted.
+    # Stop before the first validation, at a validation step, between
+    # validations, and at the end; the last case is `train --resume` on a
+    # finished run. The dynamic sampler draws its groups in the order of its
+    # weights, which resume reads back from the last validation epoch; on
+    # neither axis is that order sorted.
     @pytest.mark.parametrize("variant, axis, stop_after", [
         pytest.param(variant, axis, stop, id=prefix + name)
         for variant, axis, prefix in (("natural", "continent", ""),
                                       ("dynamic", "continent", "dynamic-continent-"),
                                       ("dynamic", "country", "dynamic-country-"))
-        for name, stop in (("validation-step", 3), ("between-validations", 4),
-                           ("finished", 6))
+        for name, stop in (("before-validation", 2), ("validation-step", 3),
+                           ("between-validations", 4), ("finished", 6))
     ])
     def test_resume_equals_uninterrupted(self, tmp_path, variant, axis, stop_after):
         assert variant == "natural" or list(axis_groups(axis)) != sorted(axis_groups(axis))
@@ -304,6 +305,28 @@ class TestTrainingRuns:
         last_part = latest_checkpoint(cfg_part.output_dir)
         assert last_part.name == last_full.name
         assert last_part.read_bytes() == last_full.read_bytes()
+
+    def test_dynamic_weights_are_kept_once_and_read_back_from_the_epochs(self, tmp_path):
+        from fairtriplet.model import load_checkpoint, save_checkpoint
+
+        cfg_full = tiny_config(tmp_path, "full", variant="dynamic")
+        run_training(cfg_full)
+        cfg = tiny_config(tmp_path, "part", variant="dynamic")
+        run_training(cfg, stop_after=4)
+        ckpts = sorted(Path(cfg.output_dir).glob("checkpoints/ckpt_*.npz"))
+        assert [c.name for c in ckpts] == ["ckpt_000003.npz", "ckpt_000004.npz"]
+        for ckpt in ckpts:
+            state = load_checkpoint(ckpt)[4]
+            assert "dynamic_weights" not in state
+            assert state["epochs"][-1]["dynamic_weights"]
+        # A checkpoint that still carries the weights as a run-state key of
+        # its own resumes as before: the key is ignored.
+        net, opt, step, config_hash, state = load_checkpoint(ckpts[-1])
+        save_checkpoint(ckpts[-1], net, opt, step, config_hash,
+                        run_state={**state, "dynamic_weights": {"EU": 1.0}})
+        run_training(cfg, resume_from=ckpts[-1])
+        last_full = latest_checkpoint(cfg_full.output_dir)
+        assert latest_checkpoint(cfg.output_dir).read_bytes() == last_full.read_bytes()
 
     def test_resume_rejects_changed_config(self, tmp_path):
         cfg = tiny_config(tmp_path, "orig")

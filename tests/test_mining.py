@@ -33,9 +33,7 @@ def random_batch(rng, n, dim=4, n_identities=None, duplicate_ids=False):
     return MiningBatch(
         pair_indices=np.arange(n),
         identity_ids=ids,
-        groups=np.array(["g"] * n),
-        selfie_features=rng.normal(size=(n, dim)),
-        doc_features=rng.normal(size=(n, dim)),
+        features=np.vstack([rng.normal(size=(n, dim)), rng.normal(size=(n, dim))]),
         selfie_emb=normalize_rows(rng.normal(size=(n, dim))),
         doc_emb=normalize_rows(rng.normal(size=(n, dim))),
     )
@@ -86,9 +84,7 @@ def fixed_batch(selfies, docs):
     return MiningBatch(
         pair_indices=np.arange(n),
         identity_ids=np.arange(n, dtype=np.int64),
-        groups=np.array(["g"] * n),
-        selfie_features=selfies,
-        doc_features=docs,
+        features=np.vstack([selfies, docs]),
         selfie_emb=selfies,
         doc_emb=docs,
     )
@@ -133,16 +129,17 @@ class TestAssembleBatch:
         ds_eu = dataset.subset(idx)
         spec = SamplerSpec("natural", axis="continent")
         batch = assemble_batch(ds_eu, spec, 50, np.random.default_rng(0))
-        assert set(batch.groups.tolist()) == {"EU"}
+        assert set(ds_eu.labels("continent")[batch.pair_indices].tolist()) == {"EU"}
 
     def test_equal_weights_multinomial(self, dataset):
         groups = ("EU", "AM", "AF", "AS", "OC", "UN")
         spec = SamplerSpec("fixed", axis="continent", weights={g: 1.0 for g in groups})
         batch = assemble_batch(dataset, spec, 6000, np.random.default_rng(1))
+        tags = dataset.labels("continent")[batch.pair_indices]
         n, p = 6000, 1 / 6
         sigma = np.sqrt(n * p * (1 - p))
         for g in groups:
-            count = int(np.sum(batch.groups == g))
+            count = int(np.sum(tags == g))
             assert abs(count - n * p) <= 4 * sigma, g
 
     def test_homogeneous_single_group(self, dataset):
@@ -152,7 +149,7 @@ class TestAssembleBatch:
         )
         for seed in range(5):
             batch = assemble_batch(dataset, spec, 64, np.random.default_rng(seed))
-            assert len(set(batch.groups.tolist())) == 1
+            assert len(set(dataset.labels("continent")[batch.pair_indices].tolist())) == 1
 
     @pytest.mark.parametrize("variant", ["fixed", "homogeneous"])
     def test_positive_weight_empty_group_rejected(self, dataset, variant):
@@ -176,7 +173,8 @@ class TestAssembleBatch:
         batch = assemble_batch(dataset, spec, 16, np.random.default_rng(4))
         for k in range(batch.n):
             src = batch.pair_indices[k]
-            assert np.array_equal(batch.selfie_features[k], dataset.selfie_features[src])
+            assert np.array_equal(batch.features[k], dataset.selfie_features[src])
+            assert np.array_equal(batch.features[batch.n + k], dataset.doc_features[src])
             assert batch.identity_ids[k] == dataset.identity_ids[src]
 
 
@@ -269,9 +267,7 @@ class TestMineSemiHard:
         bare = MiningBatch(
             pair_indices=batch.pair_indices,
             identity_ids=batch.identity_ids,
-            groups=batch.groups,
-            selfie_features=batch.selfie_features,
-            doc_features=batch.doc_features,
+            features=batch.features,
         )
         with pytest.raises(ValueError):
             mine_semi_hard(bare, 0.6, rng)
@@ -281,7 +277,7 @@ class TestMineSemiHard:
         batch = assemble_batch(dataset, spec, 16, np.random.default_rng(12))
         net = EmbeddingNetwork.create(8, (8,), 4, "tanh", np.random.default_rng(0))
         embedded = batch.embed_with(net)
-        assert np.array_equal(embedded.selfie_emb, net.forward(batch.selfie_features))
+        assert np.array_equal(embedded.selfie_emb, net.forward(batch.features[:batch.n]))
 
 
 class TestBlockedMiner:
@@ -385,9 +381,7 @@ def band_batch(n, margin, seed):
     return MiningBatch(
         pair_indices=np.arange(n),
         identity_ids=rng.integers(0, n // 2, n).astype(np.int64),
-        groups=np.array(["g"] * n),
-        selfie_features=selfies,
-        doc_features=docs,
+        features=np.vstack([selfies, docs]),
         selfie_emb=selfies,
         doc_emb=docs,
     )

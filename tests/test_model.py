@@ -271,9 +271,7 @@ class TestTrainingLossDecreases:
         batch = MiningBatch(
             pair_indices=np.arange(n_id),
             identity_ids=np.arange(n_id),
-            groups=np.array(["g"] * n_id),
-            selfie_features=selfies,
-            doc_features=docs,
+            features=np.vstack([selfies, docs]),
         )
         steps = 100
         losses = []
@@ -283,10 +281,9 @@ class TestTrainingLossDecreases:
             if len(trips[0]) == 0:
                 losses.append(0.0)
                 continue
-            feats = embedded.flat_features()
             step_losses = []
             for mb in schedule_minibatches(trips, 8, rng):
-                loss, grads = loss_gradients(net, feats, mb, 0.6)
+                loss, grads = loss_gradients(net, embedded.features, mb, 0.6)
                 adam_step(state, net, grads)
                 step_losses.append(loss)
             losses.append(float(np.mean(step_losses)))
