@@ -4,9 +4,10 @@ Config files are nested key/value YAML. The canonical serialization (sorted
 JSON of the fully resolved config) defines two hashes:
 
 * ``config_hash``: the whole experiment; resume requires an exact match.
-* ``model_hash``: seed + data + training sections only; evaluating a
-  checkpoint requires the model hash to match, so eval settings can change
-  without invalidating trained checkpoints.
+* ``model_hash``: seed + data + training + sampler sections, and a dynamic
+  sampler's validation settings; evaluating a checkpoint requires the model
+  hash to match, so other eval settings can change without invalidating
+  trained checkpoints.
 """
 from __future__ import annotations
 
@@ -140,7 +141,11 @@ class ExperimentConfig:
 
     def model_hash(self) -> str:
         d = self.to_dict()
-        part = {k: d[k] for k in ("seed", "data", "data_path", "training")}
+        part = {k: d[k] for k in ("seed", "data", "data_path", "training", "sampler")}
+        if self.sampler.variant == "dynamic":  # its validations steer its weights
+            keys = ("validation_every", "target_far", "n_eval_pairs", "group_pool_size",
+                    "far_floor")
+            part["eval"] = {k: d["eval"][k] for k in keys}
         text = json.dumps(part, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -384,7 +384,8 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
     net, _, step, _, state = load_checkpoint(checkpoint)
     if state.get("model_hash") != cfg.model_hash():
         raise ConfigError(
-            "checkpoint was trained under a different seed/data/training config"
+            "checkpoint was trained under a different seed, data, training or sampler "
+            "config, or, for a dynamic sampler, different validation settings"
         )
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir) / "eval"
     out.mkdir(parents=True, exist_ok=True)

@@ -162,6 +162,17 @@ def test_absent_weighted_group_exit_code(config_path, tmp_path, capsys):
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
+def test_eval_of_another_samplers_checkpoint_exit_code(config_path, tmp_path, capsys):
+    natural = tmp_path / "natural.yaml"
+    natural.write_text(CONFIG_TEXT.replace("{out}", str(tmp_path / "natural"))
+                       .replace("variant: fixed\n  weights: equal", "variant: natural"))
+    assert main(["train", "-c", str(natural), "--stop-after", "2"]) == EXIT_OK
+    ckpt = tmp_path / "natural" / "checkpoints" / "ckpt_000002.npz"
+    assert main(["eval", "-c", str(config_path), "--checkpoint", str(ckpt)]) == EXIT_CONFIG
+    assert "sampler" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "eval").exists()
+
+
 def test_version_1_checkpoint_exit_code(config_path, tmp_path, capsys):
     v1 = tmp_path / "v1.npz"
     savez_deterministic(v1, {"checkpoint_version": np.int64(1),

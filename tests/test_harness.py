@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,16 @@ REPO = Path(__file__).resolve().parent.parent
 # here invalidates every run directory and checkpoint made with that preset.
 # The five desk presets equal the acceptance gate's desk runs.
 PRESET_HASHES = {
-    "adjusted.yaml": ("14d9cb2f288e17bc", "a2dd1cdf861ddbc4"),
-    "country_adjusted.yaml": ("3568924a21cbf91f", "a2dd1cdf861ddbc4"),
-    "dynamic.yaml": ("4488af9cfd021442", "a2dd1cdf861ddbc4"),
-    "equal.yaml": ("40006cc83d4070bf", "a2dd1cdf861ddbc4"),
-    "homogeneous.yaml": ("bb7f1aed781abbc2", "a2dd1cdf861ddbc4"),
-    "natural.yaml": ("403386bbcd5f1c0c", "a2dd1cdf861ddbc4"),
-    "paper_country/adjusted.yaml": ("af9f7358fa731590", "1310e4d66fd3b5ba"),
-    "paper_country/dynamic.yaml": ("c48af8fdf14bbbdc", "1310e4d66fd3b5ba"),
-    "paper_country/equal.yaml": ("5a21488fbff034a8", "1310e4d66fd3b5ba"),
-    "paper_country/natural.yaml": ("88ffbf0d6ab18a77", "1310e4d66fd3b5ba"),
+    "adjusted.yaml": ("14d9cb2f288e17bc", "c0313cdb71ee7684"),
+    "country_adjusted.yaml": ("3568924a21cbf91f", "b6fc9eb9258ebfd0"),
+    "dynamic.yaml": ("4488af9cfd021442", "b8ae5b4ffeaa6b1a"),
+    "equal.yaml": ("40006cc83d4070bf", "d077ffaadf13b80e"),
+    "homogeneous.yaml": ("bb7f1aed781abbc2", "8248135e6ac3ebcc"),
+    "natural.yaml": ("403386bbcd5f1c0c", "1cedf48ce9a11b8d"),
+    "paper_country/adjusted.yaml": ("af9f7358fa731590", "24960ad82b90e1ee"),
+    "paper_country/dynamic.yaml": ("c48af8fdf14bbbdc", "ef93d4a9e1e80aea"),
+    "paper_country/equal.yaml": ("5a21488fbff034a8", "2d574864288504cd"),
+    "paper_country/natural.yaml": ("88ffbf0d6ab18a77", "f513e0c926178660"),
 }
 
 # Every key a config file can set, each off its default; some numbers are
@@ -160,6 +161,16 @@ eval:
                                                   group_pool_size=60, validation_every=3))
         assert a.model_hash() == b.model_hash()
         assert a.config_hash() != b.config_hash()
+        # A dynamic sampler's validations steer its weights, so the eval
+        # fields they read move its model hash; the others do not.
+        dyn = tiny_config(tmp_path, variant="dynamic")
+        assert dyn.with_(eval=replace(dyn.eval, roc_points=30)).model_hash() == dyn.model_hash()
+        assert dyn.with_(eval=replace(dyn.eval, target_far=5e-3)).model_hash() != dyn.model_hash()
+
+    def test_model_hash_covers_the_sampler(self, tmp_path):
+        hashes = {tiny_config(tmp_path, variant=v).model_hash()
+                  for v in ("natural", "fixed", "dynamic", "homogeneous")}
+        assert len(hashes) == 4
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -237,7 +248,7 @@ eval:
     def test_every_settable_key_hashes_pinned(self, monkeypatch):
         monkeypatch.chdir(REPO)  # data.path is relative and must exist
         cfg = config_from_dict(EVERY_KEY)
-        assert (cfg.config_hash(), cfg.model_hash()) == ("1ed8c93e0a8e40c0", "1d2d95e51ac20ca0")
+        assert (cfg.config_hash(), cfg.model_hash()) == ("1ed8c93e0a8e40c0", "87bf9014f36ce143")
 
 
     def test_read_only_mappings_hash_like_dicts(self):
@@ -386,7 +397,7 @@ class TestEval:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("report.json", "far_matrix_country.csv", "roc.csv")}
         assert digests == {
-            "report.json": "b8dc2c9c5bd6363f3f7c12a6e31f75c831d673046aad8f3e2fc635208f0110fd",
+            "report.json": "24e59ca8f05d8a3dd056a7c1cc5826605b1872325576700e13fce4a7b03a6881",
             "far_matrix_country.csv":
                 "17ba210991a62b2c1f9a00f13a1a76f17b11b9c0dae8f620404b1075d71aaa6d",
             "roc.csv": "d5359ff5abdf8d89aa9221513d9933b53c1aebfabc727fb204b5ce7cb44e37a5",
