@@ -143,12 +143,12 @@ def assemble_batch(dataset: Dataset, sampler: SamplerSpec, n: int,
             members = index[g]
             pair_idx[rows] = members[(u[rows] * len(members)).astype(np.int64)]
 
-    return MiningBatch(
-        pair_indices=pair_idx,
-        identity_ids=dataset.identity_ids[pair_idx],
-        features=np.concatenate([dataset.selfie_features[pair_idx],
-                                 dataset.doc_features[pair_idx]]),
-    )
+    # Gathered straight into the halves. The indices are in range, and
+    # mode="clip" writes into ``out`` directly where "raise" buffers it.
+    features = np.empty((2 * n, dataset.input_dim), dtype=dataset.selfie_features.dtype)
+    np.take(dataset.selfie_features, pair_idx, axis=0, out=features[:n], mode="clip")
+    np.take(dataset.doc_features, pair_idx, axis=0, out=features[n:], mode="clip")
+    return MiningBatch(pair_idx, dataset.identity_ids[pair_idx], features)
 
 
 class _Plan(NamedTuple):

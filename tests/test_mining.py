@@ -277,7 +277,11 @@ class TestMineSemiHard:
         batch = assemble_batch(dataset, spec, 16, np.random.default_rng(12))
         net = EmbeddingNetwork.create(8, (8,), 4, "tanh", np.random.default_rng(0))
         embedded = batch.embed_with(net)
-        assert np.array_equal(embedded.selfie_emb, net.forward(batch.features[:batch.n]))
+        # Forwarding the halves of the batch's matrix gives the bits of a
+        # forward pass over separate copies of the pairs' rows.
+        rows = batch.pair_indices
+        assert np.array_equal(embedded.selfie_emb, net.forward(dataset.selfie_features[rows]))
+        assert np.array_equal(embedded.doc_emb, net.forward(dataset.doc_features[rows]))
 
 
 class TestBlockedMiner:
