@@ -69,8 +69,9 @@ def digests(root: Path):
             yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(root)
 
 
-def openblas_kernel() -> str:
-    """``<core> (<config>)`` from the OpenBLAS library numpy loaded."""
+def openblas_build() -> tuple[str, str] | None:
+    """``(core, config)`` of the OpenBLAS library numpy loaded, or None where
+    the library or its symbols are not found."""
     try:
         with open("/proc/self/maps") as f:
             libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
@@ -83,8 +84,14 @@ def openblas_kernel() -> str:
             core, config = (getattr(lib, name) for name in names)
             core.argtypes = config.argtypes = []
             core.restype = config.restype = ctypes.c_char_p
-            return f"{core().decode()} ({config().decode()})"
-    return "unknown"
+            return core().decode(), config().decode()
+    return None
+
+
+def openblas_kernel() -> str:
+    """``<core> (<config>)`` from the OpenBLAS library numpy loaded."""
+    build = openblas_build()
+    return "unknown" if build is None else "{} ({})".format(*build)
 
 
 def main() -> int:

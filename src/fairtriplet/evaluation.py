@@ -9,10 +9,11 @@ Conventions, fixed across the whole toolkit and its file formats:
   ids differ -- same-identity pairs are excluded even at different indices,
   which handles duplicated identities;
 * all rates are ratios of exact integer counts;
-* distances come from :func:`fairtriplet.core.cross_squared_distances` in
-  fixed 128-row selfie tiles (``_tile_windows``), read one at a time with no
-  impostor vector, and ``far_counts`` decides on the products of the same
-  tiles, so a threshold calibrated here counts exactly there.
+* distances come from the kernel of
+  :func:`fairtriplet.core.cross_squared_distances` in fixed 128-row selfie
+  tiles (``_tile_windows``), read one at a time per thread with no impostor
+  vector, and ``far_counts`` decides on the products of the same tiles, so a
+  threshold calibrated here counts exactly there.
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by, once
@@ -25,9 +26,17 @@ once and counts its selfie pools (matrix rows) on up to one thread per core
 that BLAS leaves free (``core.worker_threads``).
 Every cell is an integer count on the same tiles whichever thread computes
 it, so the matrix does not depend on the thread count.
+
+The theta grid and the ROC sort each distance tile in its buffer and read
+counts or values from it on the same rule's threads, one per four tiles
+(``_for_each_sorted_tile``); the calling thread sums the integer counts and
+sorts the kept values, so neither depends on the thread count or the order
+of the tiles. Calibration makes its bounded pass on the calling thread,
+through the canonical kernel.
 """
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -39,6 +48,7 @@ from .core import (
     GENDERS,
     ResolutionError,
     assert_unit_rows,
+    cell_distances,
     cross_squared_distances,
     decide_below,
     product_cuts,
@@ -49,8 +59,14 @@ from .core import (
 from .model import EmbeddingNetwork
 
 # Selfie rows per distance tile; one (_TILE_ROWS, n_docs) float64 buffer is
-# live per counting call.
+# live per counting call, and per thread in a sorted tile pass.
 _TILE_ROWS = 128
+
+# Distance tiles per sorted-pass thread: the theta grid and the ROC of a set
+# get a second thread from 8 tiles (more than 896 pairs) on. With BLAS
+# pinned, a grid plus ROC of 8 tiles took 37-42 ms on one thread and 32 ms
+# on two; of 5 tiles, 15 ms on either.
+_TILES_PER_THREAD = 4
 
 
 @dataclass(frozen=True)
@@ -121,28 +137,47 @@ def _tile_windows(n: int):
         yield lo, slice(hi - height, hi)
 
 
-def _distance_tiles(selfie_emb: np.ndarray, doc_emb: np.ndarray):
-    """Yield ``(lo, d)`` per tile of ``_tile_windows``, with ``d[i - lo, j]``
-    the squared distance of selfie i and doc j. ``d`` is a view of one buffer
-    that the next tile overwrites."""
-    doc_emb = np.asarray(doc_emb, dtype=np.float64)
-    buf = np.empty((min(_TILE_ROWS, len(selfie_emb)), len(doc_emb)))
-    doc_norms = squared_norms(doc_emb)
-    for lo, rows in _tile_windows(len(selfie_emb)):
-        d = cross_squared_distances(selfie_emb[rows], doc_emb,
-                                    b_norms=doc_norms, out=buf)
-        yield lo, d[lo - rows.start:]
+class _Tiles(NamedTuple):
+    """The impostor distance tiles of selfies against docs, prepared: float64
+    rows, the docs' squared norms and the same-identity cells, row-major."""
+
+    selfie: np.ndarray
+    doc: np.ndarray
+    doc_norms: np.ndarray
+    same_rows: np.ndarray
+    same_cols: np.ndarray
+
+    @classmethod
+    def of(cls, selfie_emb: np.ndarray, selfie_ids: np.ndarray,
+           doc_emb: np.ndarray, doc_ids: np.ndarray) -> "_Tiles":
+        doc = np.asarray(doc_emb, dtype=np.float64)
+        return cls(np.asarray(selfie_emb, dtype=np.float64), doc, squared_norms(doc),
+                   *same_identity_pairs(selfie_ids, doc_ids))
+
+    def buffer(self) -> np.ndarray:
+        """A float64 buffer that holds one tile."""
+        return np.empty((min(_TILE_ROWS, len(self.selfie)), len(self.doc)))
 
 
-def _impostor_tiles(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
-                    doc_emb: np.ndarray, doc_ids: np.ndarray):
-    """``_distance_tiles`` flat, with the same-identity cells at +inf, which
-    sorts last and is never below a threshold: a view of one buffer."""
-    same_rows, same_cols = same_identity_pairs(selfie_ids, doc_ids)
-    for lo, d in _distance_tiles(selfie_emb, doc_emb):
-        a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
-        d[same_rows[a:b] - lo, same_cols[a:b]] = np.inf
-        yield d.reshape(-1)
+def _tile_distances(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """``cross_squared_distances(a, b, b_norms, out)`` from the kernel's own
+    ops, bit for bit, for worker threads: they call no function that the
+    benchmark traces."""
+    g = np.matmul(a, b.T, out=out)
+    return cell_distances(g, squared_norms(a)[:, None], b_norms[None, :], out=g)
+
+
+def _impostor_tile(tiles: _Tiles, lo: int, rows: slice, buf: np.ndarray,
+                   distances=_tile_distances) -> np.ndarray:
+    """The tile of ``_tile_windows`` at ``lo``, flat, in ``buf``: the squared
+    distances of its selfies to every doc, row by row, with the
+    same-identity cells at +inf, which sorts last and is never below a
+    threshold. The one place the impostor rule is written for distances."""
+    d = distances(tiles.selfie[rows], tiles.doc, tiles.doc_norms, buf)[lo - rows.start:]
+    a, b = np.searchsorted(tiles.same_rows, (lo, lo + len(d)))
+    d[tiles.same_rows[a:b] - lo, tiles.same_cols[a:b]] = np.inf
+    return d.reshape(-1)
 
 
 class _Side(NamedTuple):
@@ -176,7 +211,7 @@ def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     ``core.decide_below`` with the product cuts of theta at the sides'
     extreme norms. The same-identity cells (found once per call from a sort
     of the doc ids) get the product -inf before their tile is decided, which
-    is above no cut, as ``_impostor_tiles`` gives them the distance +inf.
+    is above no cut, as ``_impostor_tile`` gives them the distance +inf.
     Tiles keep their shapes, so every product, and with it every decision,
     is that of the distance tiles.
     """
@@ -231,13 +266,19 @@ def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
     to the ``smallest`` smallest and from then on keeps only values below
     their largest, which one equal to it cannot displace.
 
-    The distances come from the same tiles as ``far_counts``, so a threshold
-    taken from them counts exactly there.
+    The distances come from the same tiles as ``far_counts``, through the
+    canonical kernel and on the calling thread, so a threshold taken from
+    them counts exactly there.
     """
+    # ``out`` before the tile buffer: in the other order validate-country's
+    # peak RSS read 0.8 MB higher, from the heap layout alone.
     tile_cells = min(_TILE_ROWS, len(selfie_emb)) * len(doc_emb)
     out = np.empty(len(selfie_emb) * len(doc_emb) if smallest is None else smallest + tile_cells)
+    tiles = _Tiles.of(selfie_emb, selfie_ids, doc_emb, doc_ids)
+    buf = tiles.buffer()
     pos, bound = 0, np.inf
-    for tile in _impostor_tiles(selfie_emb, selfie_ids, doc_emb, doc_ids):
+    for lo, rows in _tile_windows(len(selfie_emb)):
+        tile = _impostor_tile(tiles, lo, rows, buf, cross_squared_distances)
         if smallest is not None and pos > smallest:
             out[:pos].partition(smallest - 1)
             pos, bound = smallest, out[smallest - 1]
@@ -356,16 +397,57 @@ class RocCurve:
             raise ValueError("ROC monotonicity violated")
 
 
-def _sorted_tiles(eval_set: EvalSet):
-    """The set's ``_impostor_tiles``, each sorted in its buffer. Raises
+def _for_each_sorted_tile(eval_set: EvalSet, task) -> None:
+    """Call ``task(k, tile)`` for every impostor tile of the set, k counting
+    the tiles from 0, with the tile sorted in its buffer. Raises
     ``far_counts``' error on a set with no impostor comparisons, which has
-    neither quantiles nor a FAR."""
+    neither quantiles nor a FAR.
+
+    The tiles run on ``worker_threads(#tiles // _TILES_PER_THREAD)``
+    threads, each with a tile buffer allocated here, on the calling thread;
+    on one thread they run inline. ``task`` runs on those threads and writes
+    what it reads from its tile into arrays the calling thread allocated,
+    so no result outlives a tile in a worker's own malloc arena (which glibc
+    would keep resident). Whichever thread computes a tile, its values are
+    the same.
+    """
     ids = eval_set.identity_ids
-    if same_identity_pairs(ids, ids)[0].size == len(ids) ** 2:
+    tiles = _Tiles.of(eval_set.selfie_emb, ids, eval_set.doc_emb, ids)
+    if tiles.same_rows.size == len(ids) ** 2:
         raise ValueError("no impostor comparisons available")
-    for tile in _impostor_tiles(eval_set.selfie_emb, ids, eval_set.doc_emb, ids):
-        tile.sort()
-        yield tile
+    windows = list(enumerate(_tile_windows(len(ids))))
+    workers = worker_threads(len(windows) // _TILES_PER_THREAD)
+    free = queue.SimpleQueue()
+    for _ in range(max(workers, 1)):
+        free.put(tiles.buffer())
+
+    def run(window: tuple[int, tuple[int, slice]]) -> None:
+        k, (lo, rows) = window
+        buf = free.get()
+        try:
+            tile = _impostor_tile(tiles, lo, rows, buf)
+            tile.sort()
+            task(k, tile)
+        finally:
+            free.put(buf)
+
+    if workers <= 1:
+        for window in windows:
+            run(window)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, windows))  # reads every result, so a task's error raises here
+
+
+def _tile_counts(eval_set: EvalSet, edges: np.ndarray) -> np.ndarray:
+    """Row k: ``np.searchsorted(tile, edges)`` on the set's sorted tile k."""
+    counts = np.empty((-(-len(eval_set) // _TILE_ROWS), len(edges)), dtype=np.intp)
+
+    def count(k: int, tile: np.ndarray) -> None:
+        counts[k] = np.searchsorted(tile, edges)
+
+    _for_each_sorted_tile(eval_set, count)
+    return counts
 
 
 def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
@@ -373,7 +455,8 @@ def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
     distance quantiles (np.quantile's, bit for bit) whose order statistics
     bucket select (Alabi et al. 2012, ACM JEA 17) reads in two tile passes."""
     edges = np.concatenate([[-np.inf], np.arange(4097) / 1024, [np.inf]])
-    below = sum(np.searchsorted(tile, edges) for tile in _sorted_tiles(eval_set))
+    counts = _tile_counts(eval_set, edges)
+    below = counts.sum(axis=0)
     n = int(below[-1])
     qs = np.linspace(0.0, 1.0, max(points - 2, 2))  # ends at 1: a[-1] is the largest
     virtual = (n - 1) * qs
@@ -385,11 +468,18 @@ def default_theta_grid(eval_set: EvalSet, points: int = 50) -> np.ndarray:
     ranks = np.concatenate([prev, nxt]).astype(np.intp) % n  # rank -1 is the largest
     bucket = np.searchsorted(below, ranks, side="right") - 1  # [edges[b], edges[b + 1])
     wanted = np.unique(bucket)
-    kept = []
-    for tile in _sorted_tiles(eval_set):
-        cuts = zip(np.searchsorted(tile, edges[wanted]), np.searchsorted(tile, edges[wanted + 1]))
-        kept += [tile[i:j].copy() for i, j in cuts]  # the next tile overwrites this one
-    kept = np.sort(np.concatenate(kept))
+    # The first pass's counts locate each wanted bucket in each sorted tile,
+    # and give each (tile, bucket) its own span of ``kept``.
+    starts, stops = counts[:, wanted], counts[:, wanted + 1]
+    ends = np.cumsum(stops - starts).reshape(starts.shape)
+    kept = np.empty(ends[-1, -1])
+
+    def keep(k: int, tile: np.ndarray) -> None:
+        for i, j, end in zip(starts[k].tolist(), stops[k].tolist(), ends[k].tolist()):
+            kept[end - (j - i):end] = tile[i:j]
+
+    _for_each_sorted_tile(eval_set, keep)
+    kept.sort()
     # Rank r's index among the kept: r, less all values below its bucket, plus the kept ones.
     a, b = kept[ranks - below[bucket] + np.searchsorted(kept, edges[bucket])].reshape(2, -1)
     diff = b - a
@@ -408,7 +498,7 @@ def roc_curve(eval_set: EvalSet, thetas: np.ndarray) -> RocCurve:
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
     edges = np.append(thetas, np.inf)  # below +inf lie all the impostor distances
-    below = sum(np.searchsorted(tile, edges) for tile in _sorted_tiles(eval_set))
+    below = _tile_counts(eval_set, edges).sum(axis=0)
     gen = np.sort(genuine_distances(eval_set))
     fars = below[:-1] / below[-1]
     frrs = (len(gen) - np.searchsorted(gen, thetas, side="left")) / len(gen)

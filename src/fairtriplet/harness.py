@@ -276,7 +276,7 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     try:
         for step in range(start_step + 1, tcfg.total_steps + 1):
             loss_buffer.append(
-                _train_round(train_ds, sampler, net, opt, tcfg, rng_sampler, rng_miner))
+                _train_round(step, train_ds, sampler, net, opt, tcfg, rng_sampler, rng_miner))
 
             at_validation = (
                 step % cfg.eval.validation_every == 0 or step == tcfg.total_steps
@@ -316,19 +316,24 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     return record
 
 
-def _train_round(train_ds: Dataset, sampler: SamplerSpec, net: EmbeddingNetwork,
+def _train_round(step: int, train_ds: Dataset, sampler: SamplerSpec, net: EmbeddingNetwork,
                  opt: OptimizerState, tcfg: TrainingConfig, rng_sampler: np.random.Generator,
                  rng_miner: np.random.Generator) -> float:
-    """One training round: assemble and embed a selection batch, mine its
+    """Round ``step``: assemble and embed a selection batch, mine its
     triplets, schedule them and take one Adam step per minibatch. Returns
-    the mean minibatch loss (0.0 for a round without triplets). The round's
+    the mean minibatch loss (0.0 for a round without triplets). A non-finite
+    loss or gradient raises ``FloatingPointError`` before its Adam step, so
+    the parameters and moments keep their last finite values. The round's
     arrays die when it returns, before the next round's mining, its peak."""
     batch = assemble_batch(train_ds, sampler, tcfg.batch_n, rng_sampler).embed_with(net)
     triplets = mine_semi_hard(batch, tcfg.margin, rng_miner)
     minibatches = schedule_minibatches(triplets, tcfg.minibatch_size, rng_miner)
     losses = []
-    for mb in minibatches:
+    for k, mb in enumerate(minibatches):
         loss, grads = loss_gradients(net, batch.features, mb, tcfg.margin)
+        if not (np.isfinite(loss) and np.isfinite(grads).all()):
+            raise FloatingPointError(
+                f"non-finite loss or gradient in round {step}, minibatch {k}")
         adam_step(opt, net, grads)
         losses.append(loss)
     return float(np.mean(losses)) if losses else 0.0

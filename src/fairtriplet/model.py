@@ -134,6 +134,8 @@ class EmbeddingNetwork:
             hs.append(h)
         u = h @ self.weights[-1] + self.biases[-1]
         norms = np.linalg.norm(u, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise FloatingPointError("non-finite embedding")
         if not np.all(norms > 0.0):
             raise FloatingPointError("embedding collapsed to zero norm")
         z = u / norms

@@ -318,3 +318,47 @@ def test_compare_checks_every_config_before_training(tmp_path, capsys):
     assert main(["compare", *paths, str(bad), "-o", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_non_finite_gradient_stops_before_adam(config_path, tmp_path, monkeypatch):
+    # Round 3's second minibatch gets a NaN gradient: training stops before
+    # its Adam step, with the round and the minibatch in the failure record.
+    from fairtriplet import harness
+
+    seen = {"round": 0, "minibatch": 0}
+    snapshot = {}
+    assemble_batch, loss_gradients, adam_step = (
+        harness.assemble_batch, harness.loss_gradients, harness.adam_step)
+
+    def counting_rounds(*args, **kwargs):
+        seen["round"] += 1
+        seen["minibatch"] = 0
+        return assemble_batch(*args, **kwargs)
+
+    def nan_at_round_3(net, *args, **kwargs):
+        loss, grads = loss_gradients(net, *args, **kwargs)
+        if (seen["round"], seen["minibatch"]) == (3, 1):
+            grads[len(grads) // 2] = np.nan
+            snapshot.update(net=net, params=net.params.copy(), m=seen["opt"].m.copy(),
+                            v=seen["opt"].v.copy(), step=seen["opt"].step)
+        seen["minibatch"] += 1
+        return loss, grads
+
+    def recording_opt(opt, *args):
+        seen["opt"] = opt
+        return adam_step(opt, *args)
+
+    monkeypatch.setattr(harness, "assemble_batch", counting_rounds)
+    monkeypatch.setattr(harness, "loss_gradients", nan_at_round_3)
+    monkeypatch.setattr(harness, "adam_step", recording_opt)
+    assert main(["train", "-c", str(config_path)]) == 1
+    assert snapshot, "round 3 had no second minibatch"
+    opt = seen["opt"]
+    assert np.array_equal(snapshot["net"].params, snapshot["params"])
+    assert np.array_equal(opt.m, snapshot["m"]) and np.array_equal(opt.v, snapshot["v"])
+    assert opt.step == snapshot["step"]
+    record = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert record["failed_at_step"] == 3
+    assert record["error"] == ("FloatingPointError: non-finite loss or gradient "
+                               "in round 3, minibatch 1")
+    assert [e["step"] for e in record["epochs"]] == [2]

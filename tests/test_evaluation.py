@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import threading
 import tracemalloc
 
@@ -223,15 +224,15 @@ class TestTiledFarCounts:
     def test_tile_passes_per_call(self, monkeypatch):
         # No impostor vector is kept with a set: each calibration makes one
         # pass over its distance tiles, the theta grid two and the ROC one
-        # per set or split.
+        # per set or split. A set of up to 128 pairs is one tile.
         passes = []
-        distance_tiles = evaluation._distance_tiles
+        impostor_tile = evaluation._impostor_tile
 
-        def counting(selfie_emb, doc_emb):
-            passes.append(len(selfie_emb))
-            return distance_tiles(selfie_emb, doc_emb)
+        def counting(tiles, *args):
+            passes.append(len(tiles.selfie))
+            return impostor_tile(tiles, *args)
 
-        monkeypatch.setattr(evaluation, "_distance_tiles", counting)
+        monkeypatch.setattr(evaluation, "_impostor_tile", counting)
         es = make_eval_set(np.random.default_rng(23), 60)
         calibrate_threshold(es, 0.05)
         assert passes == [60]
@@ -311,18 +312,20 @@ class TestTiledFarCounts:
             tracemalloc.stop()
         assert peak < 12_000_000
 
-    def test_theta_grid_and_roc_memory_is_bounded(self):
+    def test_theta_grid_and_roc_memory_is_bounded(self, monkeypatch):
         # The 2000-pair set's impostor vector takes 32 MB; the grid's passes
-        # hold a tile (2 MB) and the values of the buckets they select, and
-        # the ROC's pass a tile.
+        # hold a tile (2 MB) per thread and the values of the buckets they
+        # select, and the ROC's pass a tile per thread.
         es = make_eval_set(np.random.default_rng(29), 2000, dim=8)
-        tracemalloc.start()
-        try:
-            roc_curve(es, default_theta_grid(es))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12_000_000
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "worker_threads", lambda n: workers)
+            tracemalloc.start()
+            try:
+                roc_curve(es, default_theta_grid(es))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12_000_000, workers
 
 
 def far_first_tile_set(rng, m, dim, ids=None):
@@ -377,12 +380,19 @@ def tie_heavy_sets(n_selfies, n_docs, dim, n_dirs, seed):
     return selfie, rng.integers(0, n_ids, n_selfies), doc, rng.integers(0, n_ids, n_docs)
 
 
+def distance_tiles(selfie, doc):
+    """``(lo, d)`` per tile of evaluation's windows, with ``d[i - lo, j]`` the
+    kernel's squared distance of selfie i and doc j."""
+    return [(lo, cross_squared_distances(selfie[rows], doc)[lo - rows.start:])
+            for lo, rows in evaluation._tile_windows(len(selfie))]
+
+
 def distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids, theta):
     """The counting path that decides on the distance tiles themselves:
     ``np.less`` on every cell of each tile, less its same-identity cells."""
     rows, cols = same_identity_pairs(selfie_ids, doc_ids)
     accepted = 0
-    for lo, d in evaluation._distance_tiles(selfie, doc):
+    for lo, d in distance_tiles(selfie, doc):
         acc = np.less(d, theta)
         a, b = np.searchsorted(rows, (lo, lo + len(d)))
         accepted += int(np.count_nonzero(acc)) - int(np.count_nonzero(acc[rows[a:b] - lo, cols[a:b]]))
@@ -393,7 +403,7 @@ def distance_tile_impostor_values(selfie, selfie_ids, doc, doc_ids):
     """Every impostor cell of the distance tiles, sorted, with a dense id
     mask per tile: the count below theta is ``distance_tile_far_counts``."""
     values = [d[selfie_ids[lo:lo + len(d), None] != doc_ids[None, :]]
-              for lo, d in evaluation._distance_tiles(selfie, doc)]
+              for lo, d in distance_tiles(selfie, doc)]
     return np.sort(np.concatenate(values))
 
 
@@ -503,7 +513,7 @@ class TestCalibration:
             "spread": make_eval_set(rng, m),
         }
         first_tile = sets["far first tile"]
-        d = next(evaluation._distance_tiles(first_tile.selfie_emb, first_tile.doc_emb))[1]
+        d = distance_tiles(first_tile.selfie_emb, first_tile.doc_emb)[0][1]
         full = np.sort(impostor_distances(first_tile.selfie_emb, first_tile.identity_ids,
                                           first_tile.doc_emb, first_tile.identity_ids))
         # Every distance of the first tile lies above the 0.25 target's rank.
@@ -715,6 +725,96 @@ class TestThreadedFarMatrix:
         pools = unequal_pools(np.random.default_rng(33), sizes=(20, 30, 40))
         far_matrix(pools, 1.0)
         assert started == pools_started
+
+
+class TestThreadedSortedTiles:
+    """The theta grid's and the ROC's tile passes on worker threads."""
+
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(38)
+        return {m: make_eval_set(rng, m, dim=8, ids=rng.integers(0, max(m // 3, 1), m))
+                for m in (1, 127, 129, 300, 2000)}
+
+    @staticmethod
+    def readouts(es):
+        grid = default_theta_grid(es, 40)
+        curve = roc_curve(es, grid)
+        splits = roc_curve_over_splits(es, grid, n_splits=2, split_fraction=0.6,
+                                       rng=np.random.default_rng(0))
+        return [a.tobytes() for a in (grid, curve.far, curve.frr, splits.far, splits.frr,
+                                      splits.far_std, splits.frr_std)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_to_one_worker_bit_for_bit(self, monkeypatch, workers):
+        sets = self.sets()
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: 1)
+        want = {m: self.readouts(es) for m, es in sets.items() if m > 1}
+        passes = []  # the threads that computed each pass's tiles
+        for_each_sorted_tile = evaluation._for_each_sorted_tile
+        impostor_tile = evaluation._impostor_tile
+
+        def recording_pass(*args):
+            passes.append(set())
+            return for_each_sorted_tile(*args)
+
+        def recording_tile(*args):
+            passes[-1].add(threading.get_ident())
+            return impostor_tile(*args)
+
+        monkeypatch.setattr(evaluation, "_for_each_sorted_tile", recording_pass)
+        monkeypatch.setattr(evaluation, "_impostor_tile", recording_tile)
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: workers)
+        with pytest.raises(ValueError, match="^no impostor comparisons available$"):
+            default_theta_grid(sets[1])
+        for m, es in sets.items():
+            if m == 1:
+                continue
+            passes.clear()
+            assert self.readouts(es) == want[m], m
+            assert len(passes) == 5  # the grid's two, the ROC's and two splits'
+            assert all(len(threads) <= workers for threads in passes), m
+            if m == 2000 and workers > 1:
+                assert not any(threading.get_ident() in threads for threads in passes)
+
+    def test_more_threads_than_cores_share_buffers_safely(self, monkeypatch):
+        # Eight threads take and return the tile buffers while the
+        # interpreter switches threads as often as it can: a buffer handed
+        # to two threads at once would mix two tiles' values.
+        es = self.sets()[2000]
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: 1)
+        want = self.readouts(es)
+        monkeypatch.setattr(evaluation, "worker_threads", lambda n: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.readouts(es)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("openblas, started", [(None, []), ("1", [2, 2, 2])])
+    def test_threads_by_the_rule(self, monkeypatch, openblas, started):
+        # A 2000-pair set is 16 tiles: two threads on two cores with BLAS
+        # pinned, for each of the grid's two passes and the ROC's pass.
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if openblas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+        pools = []
+
+        class Recording(evaluation.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+        es = self.sets()[2000]
+        roc_curve(es, default_theta_grid(es))
+        assert pools == started
 
 
 class TestCutsPerCall:

@@ -97,6 +97,30 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=6)
         assert np.array_equal(net.forward(x), net.forward(x[None, :])[0])
 
+    def test_nan_feature_row_is_non_finite_not_zero_norm(self):
+        net = make_net()
+        x = np.random.default_rng(5).normal(size=(4, 6))
+        x[2, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="^non-finite embedding$"):
+            net.forward(x)
+
+    def test_overflowing_params_are_non_finite(self):
+        # A relu net whose params overflow float64 embeds inf - inf = NaN.
+        net = make_net(activation="relu")
+        net.params = net.params * 1e308
+        x = np.random.default_rng(6).normal(size=(4, 6))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^non-finite embedding$"):
+            net.forward(x)
+
+    def test_zero_norm_embedding_named(self):
+        net = make_net()
+        for w, b in zip(net.weights, net.biases):
+            w[:] = 0.0
+            b[:] = 0.0
+        with pytest.raises(FloatingPointError, match="^embedding collapsed to zero norm$"):
+            net.forward(np.ones((2, 6)))
+
 
 class TestTripletLoss:
     def test_active_hinge_arithmetic(self):

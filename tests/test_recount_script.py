@@ -33,7 +33,8 @@ def test_recount_follows_the_tiles_where_a_dense_product_rounds_apart(tmp_path):
     selfie = normalize_rows(rng.normal(size=(n, 8)))
     doc = normalize_rows(rng.normal(size=(n, 8)))
     ids = np.arange(n)
-    tiled = np.concatenate([d.copy() for _, d in evaluation._distance_tiles(selfie, doc)])
+    tiled = np.concatenate([cross_squared_distances(selfie[rows], doc)[lo - rows.start:]
+                            for lo, rows in evaluation._tile_windows(n)])
     dense = cross_squared_distances(selfie, doc)
     impostor = ids[:, None] != ids[None, :]
     rows, cols = np.nonzero((tiled != dense) & impostor)
