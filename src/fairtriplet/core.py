@@ -12,10 +12,14 @@ threads.
 """
 from __future__ import annotations
 
+import collections
 import hashlib
 import io
+import itertools
 import os
+import queue
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -307,6 +311,45 @@ def worker_threads(n_tasks: int) -> int:
             blas = n
             break
     return max(1, min(n_tasks, cores // blas))
+
+
+def in_order_on_threads(items, work, new_buffer, workers: int):
+    """Yield ``work(item, buffer)`` for every item, in item order, to the
+    calling thread, computed on ``workers`` threads.
+
+    ``new_buffer()`` runs here, on the calling thread, once per thread, and
+    each running item holds one of those buffers, so the buffers live in the
+    calling thread's heap and a worker allocates none of them. Up to ``2 *
+    workers`` items are submitted ahead of the calling thread, so each thread
+    has its next item queued while the calling thread consumes a result, and
+    up to as many finished results wait to be yielded. A work item's error
+    raises here when its result is due. With ``workers <= 1`` the items run
+    inline, on one buffer, and no pool is started.
+    """
+    if workers <= 1:
+        buffer = new_buffer()
+        for item in items:
+            yield work(item, buffer)
+        return
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(new_buffer())
+
+    def task(item):
+        buffer = free.get()
+        try:
+            return work(item, buffer)
+        finally:
+            free.put(buffer)
+
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = collections.deque(pool.submit(task, item)
+                                  for item in itertools.islice(items, 2 * workers))
+        while ahead:
+            done = ahead.popleft().result()
+            ahead.extend(pool.submit(task, item) for item in itertools.islice(items, 1))
+            yield done
 
 
 @contextmanager

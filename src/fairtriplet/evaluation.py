@@ -17,28 +17,25 @@ Conventions, fixed across the whole toolkit and its file formats:
 
 Counting decides ``d < theta`` on each tile's raw product with
 ``core.decide_below``, the rule the miner decides its candidates by, once
-the tile's same-identity products are -inf, which no cut lies below.
-``far_counts`` and ``far_matrix`` check that each side's embeddings are
-finite when they prepare it, before any counting, and each count takes the
-bracket of its comparisons' product cut, in closed form, from its own
-``core.product_cuts`` call. ``far_matrix`` prepares each pool's two sides
-once and counts its selfie pools (matrix rows) on up to one thread per core
-that BLAS leaves free (``core.worker_threads``).
-Every cell is an integer count on the same tiles whichever thread computes
-it, so the matrix does not depend on the thread count.
+the tile's same-identity products are -inf, which no cut lies below. Each
+count takes the bracket of its comparisons' product cut, in closed form,
+from its own ``core.product_cuts`` call. Every pass (counting, calibration,
+the theta grid and the ROC) prepares its two sides with ``_side``, which
+checks that their embeddings are finite before any tile is computed, and
+finds the same-identity cells with ``_impostor_cells``.
 
-The theta grid and the ROC sort each distance tile in its buffer and read
-counts or values from it on the same rule's threads, one per four tiles
-(``_for_each_sorted_tile``); the calling thread sums the integer counts and
-sorts the kept values, so neither depends on the thread count or the order
-of the tiles. Calibration makes its bounded pass on the calling thread,
-through the canonical kernel.
+``far_matrix`` counts its selfie pools (matrix rows), and the theta grid and
+the ROC their sorted distance tiles, on ``core.in_order_on_threads`` (see
+its docstring and the README's "Worker threads"). Every cell and every tile
+count is an integer on the same tiles whichever thread computes it, and the
+calling thread sums the counts and sorts the kept values, so no readout
+depends on the thread count. Calibration makes its bounded pass on the
+calling thread, through the canonical kernel.
 """
 from __future__ import annotations
 
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -51,6 +48,7 @@ from .core import (
     cell_distances,
     cross_squared_distances,
     decide_below,
+    in_order_on_threads,
     product_cuts,
     same_identity_pairs,
     squared_norms,
@@ -137,53 +135,11 @@ def _tile_windows(n: int):
         yield lo, slice(hi - height, hi)
 
 
-class _Tiles(NamedTuple):
-    """The impostor distance tiles of selfies against docs, prepared: float64
-    rows, the docs' squared norms and the same-identity cells, row-major."""
-
-    selfie: np.ndarray
-    doc: np.ndarray
-    doc_norms: np.ndarray
-    same_rows: np.ndarray
-    same_cols: np.ndarray
-
-    @classmethod
-    def of(cls, selfie_emb: np.ndarray, selfie_ids: np.ndarray,
-           doc_emb: np.ndarray, doc_ids: np.ndarray) -> "_Tiles":
-        doc = np.asarray(doc_emb, dtype=np.float64)
-        return cls(np.asarray(selfie_emb, dtype=np.float64), doc, squared_norms(doc),
-                   *same_identity_pairs(selfie_ids, doc_ids))
-
-    def buffer(self) -> np.ndarray:
-        """A float64 buffer that holds one tile."""
-        return np.empty((min(_TILE_ROWS, len(self.selfie)), len(self.doc)))
-
-
-def _tile_distances(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """``cross_squared_distances(a, b, b_norms, out)`` from the kernel's own
-    ops, bit for bit, for worker threads: they call no function that the
-    benchmark traces."""
-    g = np.matmul(a, b.T, out=out)
-    return cell_distances(g, squared_norms(a)[:, None], b_norms[None, :], out=g)
-
-
-def _impostor_tile(tiles: _Tiles, lo: int, rows: slice, buf: np.ndarray,
-                   distances=_tile_distances) -> np.ndarray:
-    """The tile of ``_tile_windows`` at ``lo``, flat, in ``buf``: the squared
-    distances of its selfies to every doc, row by row, with the
-    same-identity cells at +inf, which sorts last and is never below a
-    threshold. The one place the impostor rule is written for distances."""
-    d = distances(tiles.selfie[rows], tiles.doc, tiles.doc_norms, buf)[lo - rows.start:]
-    a, b = np.searchsorted(tiles.same_rows, (lo, lo + len(d)))
-    d[tiles.same_rows[a:b] - lo, tiles.same_cols[a:b]] = np.inf
-    return d.reshape(-1)
-
-
 class _Side(NamedTuple):
-    """One side of a comparison, prepared for counting: float64 rows, their
-    identity ids, the ids' stable sort order, the rows' squared norms and the
-    largest and smallest of them (-inf and inf for no rows)."""
+    """One side of a comparison, prepared for counting and for distance
+    tiles: float64 rows, their identity ids, the ids' stable sort order, the
+    rows' squared norms and the largest and smallest of them (-inf and inf
+    for no rows)."""
 
     emb: np.ndarray
     ids: np.ndarray
@@ -199,6 +155,46 @@ def _side(emb: np.ndarray, ids: np.ndarray) -> _Side:
         raise ValueError("embeddings must be finite")
     return _Side(emb, ids, np.argsort(ids, kind="stable"), norms,
                  (norms.max(initial=-np.inf), norms.min(initial=np.inf)))
+
+
+def _impostor_cells(selfie: _Side, doc: _Side) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(rows, cols, comparisons)``: the same-identity cells of selfies
+    against docs, row-major, and the number of impostor comparisons. Raises
+    when there are none, which leaves neither a FAR nor a quantile."""
+    rows, cols = same_identity_pairs(selfie.ids, doc.ids, doc.id_order)
+    comparisons = len(selfie.emb) * len(doc.emb) - rows.size
+    if comparisons == 0:
+        raise ValueError("no impostor comparisons available")
+    return rows, cols, comparisons
+
+
+def _tile_buffer(selfie: _Side, doc: _Side, dtype=np.float64) -> np.ndarray:
+    """A buffer that holds one tile of selfies against docs."""
+    return np.empty((min(_TILE_ROWS, len(selfie.emb)), len(doc.emb)), dtype=dtype)
+
+
+def _tile_distances(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """``cross_squared_distances(a, b, b_norms, out)`` from the kernel's own
+    ops, bit for bit, for worker threads: they call no function that the
+    benchmark traces."""
+    g = np.matmul(a, b.T, out=out)
+    return cell_distances(g, squared_norms(a)[:, None], b_norms[None, :], out=g)
+
+
+def _impostor_tile(selfie: _Side, doc: _Side, same: tuple[np.ndarray, np.ndarray],
+                   lo: int, rows: slice, buf: np.ndarray,
+                   distances=_tile_distances) -> np.ndarray:
+    """The tile of ``_tile_windows`` at ``lo``, flat, in ``buf``: the squared
+    distances of its selfies to every doc, row by row, with the
+    same-identity cells ``same`` at +inf, which sorts last and is never
+    below a threshold. The one place the impostor rule is written for
+    distances."""
+    same_rows, same_cols = same
+    d = distances(selfie.emb[rows], doc.emb, doc.norms, buf)[lo - rows.start:]
+    a, b = np.searchsorted(same_rows, (lo, lo + len(d)))
+    d[same_rows[a:b] - lo, same_cols[a:b]] = np.inf
+    return d.reshape(-1)
 
 
 def far_counts(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
@@ -223,18 +219,14 @@ def _count_far(selfie: _Side, doc: _Side, theta: float) -> tuple[int, int]:
     both sides' largest norms (``sure``) and smallest (``maybe``). Allocates
     its own tile buffers, so calls on different threads share nothing they
     write."""
-    same_rows, same_cols = same_identity_pairs(selfie.ids, doc.ids, doc.id_order)
-    comparisons = len(selfie.emb) * len(doc.emb) - same_rows.size
-    if comparisons == 0:
-        raise ValueError("no impostor comparisons available")
+    same_rows, same_cols, comparisons = _impostor_cells(selfie, doc)
     if not theta > 0:
         return 0, comparisons  # no distance is below theta <= 0 (or NaN)
     cuts = product_cuts(theta, selfie.extremes[0], doc.extremes[0],
                         selfie.extremes[1], doc.extremes[1])
     na, nb = selfie.norms, doc.norms
-    height = min(_TILE_ROWS, len(selfie.emb))
-    buf = np.empty((height, len(doc.emb)))
-    mask_buf = np.empty((height, len(doc.emb)), dtype=bool)
+    buf = _tile_buffer(selfie, doc)
+    mask_buf = _tile_buffer(selfie, doc, bool)
     accepted = 0
     for lo, rows in _tile_windows(len(selfie.emb)):
         g = np.matmul(selfie.emb[rows], doc.emb.T, out=buf)[lo - rows.start:]
@@ -268,17 +260,19 @@ def impostor_distances(selfie_emb: np.ndarray, selfie_ids: np.ndarray,
 
     The distances come from the same tiles as ``far_counts``, through the
     canonical kernel and on the calling thread, so a threshold taken from
-    them counts exactly there.
+    them counts exactly there. Raises as ``far_counts`` does on non-finite
+    embeddings and on a comparison with no impostor cell.
     """
     # ``out`` before the tile buffer: in the other order validate-country's
     # peak RSS read 0.8 MB higher, from the heap layout alone.
     tile_cells = min(_TILE_ROWS, len(selfie_emb)) * len(doc_emb)
     out = np.empty(len(selfie_emb) * len(doc_emb) if smallest is None else smallest + tile_cells)
-    tiles = _Tiles.of(selfie_emb, selfie_ids, doc_emb, doc_ids)
-    buf = tiles.buffer()
+    selfie, doc = _side(selfie_emb, selfie_ids), _side(doc_emb, doc_ids)
+    same = _impostor_cells(selfie, doc)[:2]
+    buf = _tile_buffer(selfie, doc)
     pos, bound = 0, np.inf
     for lo, rows in _tile_windows(len(selfie_emb)):
-        tile = _impostor_tile(tiles, lo, rows, buf, cross_squared_distances)
+        tile = _impostor_tile(selfie, doc, same, lo, rows, buf, cross_squared_distances)
         if smallest is not None and pos > smallest:
             out[:pos].partition(smallest - 1)
             pos, bound = smallest, out[smallest - 1]
@@ -353,11 +347,11 @@ def far_matrix(pools: Mapping[str, EvalSet], theta: float) -> FarMatrix:
     selfies = [_side(pools[g].selfie_emb, pools[g].identity_ids) for g in groups]
     docs = [_side(pools[g].doc_emb, pools[g].identity_ids) for g in groups]
 
-    def row(i: int) -> list[tuple[int, int]]:
+    def row(i: int, _) -> list[tuple[int, int]]:  # each count allocates its own tiles
         return [_count_far(selfies[i], doc, theta) for doc in docs]
 
-    with ThreadPoolExecutor(max_workers=worker_threads(k)) as pool:
-        counts = np.array(list(pool.map(row, range(k))), dtype=np.int64)  # (k, k, 2)
+    counts = np.array(list(in_order_on_threads(range(k), row, lambda: None, worker_threads(k))),
+                      dtype=np.int64)  # (k, k, 2)
     accepted, comparisons = counts[..., 0], counts[..., 1]
     return FarMatrix(groups, theta, accepted / comparisons, accepted, comparisons)
 
@@ -400,43 +394,30 @@ class RocCurve:
 def _for_each_sorted_tile(eval_set: EvalSet, task) -> None:
     """Call ``task(k, tile)`` for every impostor tile of the set, k counting
     the tiles from 0, with the tile sorted in its buffer. Raises
-    ``far_counts``' error on a set with no impostor comparisons, which has
-    neither quantiles nor a FAR.
+    ``far_counts``' errors on a set with no impostor comparisons, which has
+    neither quantiles nor a FAR, and on non-finite embeddings.
 
-    The tiles run on ``worker_threads(#tiles // _TILES_PER_THREAD)``
-    threads, each with a tile buffer allocated here, on the calling thread;
-    on one thread they run inline. ``task`` runs on those threads and writes
-    what it reads from its tile into arrays the calling thread allocated,
-    so no result outlives a tile in a worker's own malloc arena (which glibc
-    would keep resident). Whichever thread computes a tile, its values are
-    the same.
+    The tiles run on ``core.in_order_on_threads``, one thread per
+    ``_TILES_PER_THREAD`` tiles, each thread with a tile buffer. ``task``
+    runs on those threads and writes what it reads from its tile into arrays
+    the calling thread allocated, so no result outlives a tile in a worker's
+    own malloc arena (which glibc would keep resident). Whichever thread
+    computes a tile, its values are the same.
     """
     ids = eval_set.identity_ids
-    tiles = _Tiles.of(eval_set.selfie_emb, ids, eval_set.doc_emb, ids)
-    if tiles.same_rows.size == len(ids) ** 2:
-        raise ValueError("no impostor comparisons available")
+    selfie, doc = _side(eval_set.selfie_emb, ids), _side(eval_set.doc_emb, ids)
+    same = _impostor_cells(selfie, doc)[:2]
     windows = list(enumerate(_tile_windows(len(ids))))
-    workers = worker_threads(len(windows) // _TILES_PER_THREAD)
-    free = queue.SimpleQueue()
-    for _ in range(max(workers, 1)):
-        free.put(tiles.buffer())
 
-    def run(window: tuple[int, tuple[int, slice]]) -> None:
+    def run(window: tuple[int, tuple[int, slice]], buf: np.ndarray) -> None:
         k, (lo, rows) = window
-        buf = free.get()
-        try:
-            tile = _impostor_tile(tiles, lo, rows, buf)
-            tile.sort()
-            task(k, tile)
-        finally:
-            free.put(buf)
+        tile = _impostor_tile(selfie, doc, same, lo, rows, buf)
+        tile.sort()
+        task(k, tile)
 
-    if workers <= 1:
-        for window in windows:
-            run(window)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, windows))  # reads every result, so a task's error raises here
+    for _ in in_order_on_threads(windows, run, partial(_tile_buffer, selfie, doc),
+                                 worker_threads(len(windows) // _TILES_PER_THREAD)):
+        pass
 
 
 def _tile_counts(eval_set: EvalSet, edges: np.ndarray) -> np.ndarray:

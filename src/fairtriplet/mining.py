@@ -29,13 +29,13 @@ same-identity cells get the product -inf first, which no cut takes. So both
 orientations' masks are exactly those of ``d < limit`` on the distance
 blocks, with none of the kernel's elementwise passes.
 
-The blocks run on ``worker_threads`` threads (one per eight blocks, up to
-the cores BLAS leaves free), each with a product buffer and a mask that the
-calling thread allocates, and at most one block per thread runs ahead of
-the calling thread. Workers pack the selfie anchors' rows to bits and the
-document anchors' columns to bytes; the calling thread takes the blocks in
-block order, picks each block's selfie anchors, and puts its columns into an
-N x ceil(N/64)*8-byte bit matrix, whose rows it picks after the last block.
+The blocks run on ``core.in_order_on_threads`` (see its docstring and the
+README's "Worker threads"), one thread per eight blocks, each thread with a
+product buffer and a mask. Workers pack the selfie anchors' rows to bits and
+the document anchors' columns to bytes; the calling thread takes the blocks
+in block order, picks each block's selfie anchors, and puts its columns into
+an N x ceil(N/64)*8-byte bit matrix, whose rows it picks after the last
+block.
 A pick reads per-row candidate counts and the k-th set bit from word and
 byte popcounts and a byte lookup table. No N x N float matrix, boolean mask,
 transposed copy or N^2 nonzero scan is built: memory is O(N *
@@ -49,10 +49,8 @@ finite.
 """
 from __future__ import annotations
 
-import collections
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +59,7 @@ from .core import (
     Dataset,
     cross_squared_distances,
     decide_below,
+    in_order_on_threads,
     product_cuts,
     same_identity_pairs,
     squared_norms,
@@ -250,43 +249,15 @@ def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     return _BlockBits(r0, r1, selfie_bits, doc_bits)
 
 
-def _for_each_block(batch: MiningBatch, margin: float, consume) -> None:
-    """Call ``consume(bits)`` with every block's ``_BlockBits``, in block
-    order, on the calling thread.
-
-    The blocks are computed on ``worker_threads(#blocks //
-    _BLOCKS_PER_THREAD)`` threads, each with its own ``_BlockBuffers``
-    allocated here, on the calling thread, and at most one block per thread
-    runs ahead of ``consume``, so the round holds one product buffer per
-    thread. On one thread the blocks run inline.
-    """
+def _blocks(batch: MiningBatch, margin: float):
+    """Every block's ``_BlockBits``, in block order, to the calling thread:
+    ``core.in_order_on_threads`` on ``worker_threads(#blocks //
+    _BLOCKS_PER_THREAD)`` threads, with one ``_BlockBuffers`` per thread."""
     plan = _plan(batch, margin)
     starts = range(0, batch.n, MINE_BLOCK_ROWS)
-    workers = worker_threads(len(starts) // _BLOCKS_PER_THREAD)
-    if workers <= 1:
-        buffers = _BlockBuffers.for_batch(batch.n)
-        for r0 in starts:
-            consume(_block_bits(plan, r0, buffers))
-        return
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(_BlockBuffers.for_batch(batch.n))
-
-    def task(r0: int) -> _BlockBits:
-        buffers = free.get()
-        try:
-            return _block_bits(plan, r0, buffers)
-        finally:
-            free.put(buffers)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = collections.deque(pool.submit(task, r0) for r0 in starts[:workers])
-        for r0 in starts[workers:]:
-            done = ahead.popleft().result()
-            ahead.append(pool.submit(task, r0))
-            consume(done)
-        while ahead:
-            consume(ahead.popleft().result())
+    return in_order_on_threads(starts, partial(_block_bits, plan),
+                               partial(_BlockBuffers.for_batch, batch.n),
+                               worker_threads(len(starts) // _BLOCKS_PER_THREAD))
 
 
 def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
@@ -337,12 +308,10 @@ def mine_semi_hard(batch: MiningBatch, margin: float,
     doc_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)
     selfie_picks: list[tuple[np.ndarray, np.ndarray]] = []  # (anchor rows, negative cols)
 
-    def consume(bits: _BlockBits) -> None:
+    for bits in _blocks(batch, margin):
         _store_doc_bits(doc_bits, bits)
         rows, cols = _pick_packed(bits.selfie_bits, rng)
         selfie_picks.append((rows + bits.r0, cols))
-
-    _for_each_block(batch, margin, consume)
     doc_picks = []
     for r0 in range(0, n, _PICK_ROWS):
         rows, cols = _pick_packed(doc_bits[r0:r0 + _PICK_ROWS], rng)
@@ -369,11 +338,9 @@ def semi_hard_candidates(batch: MiningBatch, margin: float) -> dict[tuple[int, s
     selfie_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)  # row = selfie anchor
     doc_bits = np.zeros_like(selfie_bits)
 
-    def consume(bits: _BlockBits) -> None:
+    for bits in _blocks(batch, margin):
         selfie_bits[bits.r0:bits.r1] = bits.selfie_bits
         _store_doc_bits(doc_bits, bits)
-
-    _for_each_block(batch, margin, consume)
     by_selfie = np.unpackbits(selfie_bits, axis=1, count=n, bitorder="little")
     by_doc = np.unpackbits(doc_bits, axis=1, count=n, bitorder="little")
     out: dict[tuple[int, str], np.ndarray] = {}

@@ -1,5 +1,6 @@
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fairtriplet.core import (
     countries_in,
     cross_squared_distances,
     decide_below,
+    in_order_on_threads,
     normalize,
     normalize_rows,
     product_cuts,
@@ -418,3 +420,95 @@ class TestDataset:
     def test_arrays_read_only(self, dataset):
         with pytest.raises(ValueError):
             dataset.selfie_features[0, 0] = 1.0
+
+
+class TestInOrderOnThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_item_order_when_later_items_finish_first(self, workers):
+        # Item 0 waits until item `workers - 1`, which another thread runs,
+        # has finished.
+        finished = []
+        last_started = threading.Event()
+
+        def work(item, buffer):
+            if item == 0 and workers > 1:
+                assert last_started.wait(timeout=10)
+            finished.append(item)
+            if item == workers - 1:
+                last_started.set()
+            return item * item
+
+        got = list(in_order_on_threads(range(9), work, list, workers))
+        assert got == [i * i for i in range(9)]
+        assert sorted(finished) == list(range(9))
+        if workers > 1:
+            assert finished.index(workers - 1) < finished.index(0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_buffers_built_on_the_calling_thread_once_per_thread(self, workers):
+        made, used, held = [], [], set()
+        lock = threading.Lock()
+
+        def new_buffer():
+            made.append(threading.get_ident())
+            return object()
+
+        def work(item, buffer):
+            with lock:
+                assert id(buffer) not in held  # no two running items share one
+                held.add(id(buffer))
+            used.append(buffer)
+            with lock:
+                held.remove(id(buffer))
+            return item
+
+        assert list(in_order_on_threads(range(20), work, new_buffer, workers)) == list(range(20))
+        assert made == [threading.get_ident()] * workers
+        assert len({id(b) for b in used}) <= workers
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_twice_the_workers_submitted_ahead(self, monkeypatch, workers):
+        submitted = []
+
+        class Recording(core.ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted.append(args)
+                return super().submit(*args)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
+        ahead = []
+        for k, item in enumerate(in_order_on_threads(range(30), lambda i, b: i, list, workers)):
+            assert item == k
+            ahead.append(len(submitted) - (k + 1))
+        assert max(ahead) == 2 * workers
+        assert len(submitted) == 30
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_work_items_error_reaches_the_consumer(self, workers):
+        def work(item, buffer):
+            if item == 4:
+                raise ArithmeticError("item 4")
+            return item
+
+        got = []
+        with pytest.raises(ArithmeticError, match="^item 4$"):
+            for item in in_order_on_threads(range(12), work, list, workers):
+                got.append(item)
+        assert got == [0, 1, 2, 3]
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", NoPool)
+        threads = []
+
+        def work(item, buffer):
+            threads.append(threading.get_ident())
+            return item
+
+        for workers in (0, 1):
+            threads.clear()
+            assert list(in_order_on_threads(range(5), work, list, workers)) == list(range(5))
+            assert threads == [threading.get_ident()] * 5

@@ -221,6 +221,24 @@ class TestTiledFarCounts:
                 assert (matrix.accepted[i, j], matrix.comparisons[i, j]) == (a, c)
                 assert matrix.values[i, j] == a / c
 
+    def test_non_finite_embeddings_raise_in_every_pass(self):
+        # A NaN distance is not below any bound, so a pass that did not check
+        # would drop that row's distances without a word.
+        es = make_eval_set(np.random.default_rng(26), 50)
+        es.selfie_emb[7, 2] = np.nan
+        args = es.selfie_emb, es.identity_ids, es.doc_emb, es.identity_ids
+        with pytest.raises(ValueError) as want:
+            far_counts(*args, 1.0)
+        assert str(want.value) == "embeddings must be finite"
+        for measure in (lambda: impostor_distances(*args),
+                        lambda: impostor_distances(*args, smallest=10),
+                        lambda: calibrate_threshold(es, 0.01),
+                        lambda: default_theta_grid(es),
+                        lambda: roc_curve(es, np.array([0.5, 1.0]))):
+            with pytest.raises(ValueError) as got:
+                measure()
+            assert str(got.value) == str(want.value)
+
     def test_tile_passes_per_call(self, monkeypatch):
         # No impostor vector is kept with a set: each calibration makes one
         # pass over its distance tiles, the theta grid two and the ROC one
@@ -228,9 +246,9 @@ class TestTiledFarCounts:
         passes = []
         impostor_tile = evaluation._impostor_tile
 
-        def counting(tiles, *args):
-            passes.append(len(tiles.selfie))
-            return impostor_tile(tiles, *args)
+        def counting(selfie, *args):
+            passes.append(len(selfie.emb))
+            return impostor_tile(selfie, *args)
 
         monkeypatch.setattr(evaluation, "_impostor_tile", counting)
         es = make_eval_set(np.random.default_rng(23), 60)
@@ -704,7 +722,7 @@ class TestThreadedFarMatrix:
                 monkeypatch.setenv(var, value)
         assert core.worker_threads(5) == want
 
-    @pytest.mark.parametrize("openblas, pools_started", [(None, [1]), ("1", [2])])
+    @pytest.mark.parametrize("openblas, pools_started", [(None, []), ("1", [2])])
     def test_far_matrix_starts_threads_by_the_rule(self, monkeypatch, openblas, pools_started):
         monkeypatch.setattr(core.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
@@ -716,12 +734,12 @@ class TestThreadedFarMatrix:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
         started = []
 
-        class Recording(evaluation.ThreadPoolExecutor):
+        class Recording(core.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
         pools = unequal_pools(np.random.default_rng(33), sizes=(20, 30, 40))
         far_matrix(pools, 1.0)
         assert started == pools_started
@@ -806,12 +824,12 @@ class TestThreadedSortedTiles:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
         pools = []
 
-        class Recording(evaluation.ThreadPoolExecutor):
+        class Recording(core.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
         es = self.sets()[2000]
         roc_curve(es, default_theta_grid(es))
         assert pools == started

@@ -492,12 +492,12 @@ class TestProductCutMasks:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
         started = []
 
-        class Recording(mining.ThreadPoolExecutor):
+        class Recording(core.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(mining, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(mining, "_block_bits", lambda plan, r0, buffers: mining._BlockBits(
             r0, min(r0 + MINE_BLOCK_ROWS, n),
             np.zeros((min(MINE_BLOCK_ROWS, n - r0), mining._packed_width(n)), dtype=np.uint8),
