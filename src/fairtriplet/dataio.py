@@ -8,6 +8,7 @@ so reading the file back recovers bit-identical float64 vectors.
 from __future__ import annotations
 
 import csv
+import zipfile
 from pathlib import Path
 from typing import Iterable
 
@@ -34,20 +35,31 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    with np.load(path) as z:
-        if int(z["format_version"]) != DATASET_FORMAT_VERSION:
-            raise ConfigError(f"unsupported dataset format version in {path}")
-        if str(z["taxonomy_hash"]) != TAXONOMY_HASH:
-            raise ConfigError(f"dataset {path} was written with a different country table")
-        ds = Dataset(
-            identity_ids=z["identity_id"],
-            countries=z["country"],
-            genders=z["gender"],
-            selfie_features=z["selfie"],
-            doc_features=z["doc"],
-        )
-        if len(ds) != int(z["n_pairs"]) or ds.input_dim != int(z["input_dim"]):
-            raise ConfigError(f"dataset {path} header disagrees with its contents")
+    """Read a dataset file. Raises ``ConfigError`` naming the file when it is
+    not a dataset archive of this format and country table, lacks an array,
+    has misaligned columns or unknown codes, disagrees with its header or
+    holds a non-finite feature."""
+    try:
+        with np.load(path) as z:
+            if int(z["format_version"]) != DATASET_FORMAT_VERSION:
+                raise ConfigError(f"unsupported dataset format version in {path}")
+            if str(z["taxonomy_hash"]) != TAXONOMY_HASH:
+                raise ConfigError(f"dataset {path} was written with a different country table")
+            ds = Dataset(
+                identity_ids=z["identity_id"],
+                countries=z["country"],
+                genders=z["gender"],
+                selfie_features=z["selfie"],
+                doc_features=z["doc"],
+            )
+            header = int(z["n_pairs"]), int(z["input_dim"])
+            finite = np.isfinite(ds.selfie_features).all() and np.isfinite(ds.doc_features).all()
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"dataset {path} is malformed: {e}") from None
+    if header != (len(ds), ds.input_dim):
+        raise ConfigError(f"dataset {path} header disagrees with its contents")
+    if not finite:
+        raise ConfigError(f"dataset {path} holds non-finite features")
     return ds
 
 

@@ -375,10 +375,15 @@ def _measure(net: EmbeddingNetwork, ds: Dataset, pool_ds: dict[str, Dataset],
 
 
 def latest_checkpoint(run_dir: str | Path) -> Path:
-    ckpts = sorted(Path(run_dir).glob("checkpoints/ckpt_*.npz"))
-    if not ckpts:
+    """The checkpoint of the largest step under ``run_dir``, by the step its
+    name carries: names are padded to six digits, so from step 10^6 on they
+    no longer sort by step."""
+    steps = {int(p.stem.removeprefix("ckpt_")): p
+             for p in Path(run_dir).glob("checkpoints/ckpt_*.npz")
+             if p.stem.removeprefix("ckpt_").isdigit()}
+    if not steps:
         raise ConfigError(f"no checkpoints under {run_dir}")
-    return ckpts[-1]
+    return steps[max(steps)]
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,

@@ -207,6 +207,28 @@ def test_malformed_checkpoint_exit_code(config_path, tmp_path, capsys):
         assert problem in capsys.readouterr().err
 
 
+def test_malformed_dataset_file_exit_code(config_path, tmp_path, capsys):
+    # A NaN feature in a dataset file stops `train` with data.path and
+    # `export --data` before any work, as a configuration error.
+    data_path = tmp_path / "data.npz"
+    assert main(["generate", "-c", str(config_path), "-o", str(data_path)]) == EXIT_OK
+    with np.load(data_path) as z:
+        arrays = {name: z[name] for name in z.files}
+    arrays["selfie"][5, 0] = np.nan
+    savez_deterministic(data_path, arrays)
+    with_data = tmp_path / "with_data.yaml"
+    with_data.write_text(config_path.read_text().replace(
+        "data:\n", f"data:\n  path: \"{data_path}\"\n"))
+    assert main(["train", "-c", str(with_data)]) == EXIT_CONFIG
+    assert "non-finite features" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoints").exists()
+    assert main(["train", "-c", str(config_path), "--stop-after", "2"]) == EXIT_OK
+    ckpt = tmp_path / "run" / "checkpoints" / "ckpt_000002.npz"
+    assert main(["export", "--checkpoint", str(ckpt), "--data", str(data_path),
+                 "-o", str(tmp_path / "emb.csv")]) == EXIT_CONFIG
+    assert str(data_path) in capsys.readouterr().err
+
+
 def test_shorter_run_replaces_a_longer_runs_checkpoints(config_path, tmp_path, capsys):
     # A 6-round run, then a 4-round run of another config into the same
     # directory: eval must find the second run's last checkpoint, not the

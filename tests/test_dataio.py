@@ -48,6 +48,53 @@ class TestDatasetFile:
             load_dataset(path)
 
 
+def rewritten(path, dataset, tmp_path, name, **arrays):
+    """A copy of the saved dataset file with some arrays replaced (None
+    drops one)."""
+    save_dataset(path, dataset)
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files}
+    bad = tmp_path / name
+    savez_deterministic(bad, {k: v for k, v in {**entries, **arrays}.items() if v is not None})
+    return bad
+
+
+class TestMalformedDatasetFile:
+    """Each failure is a ``ConfigError`` that names the file."""
+
+    def check(self, path, problem):
+        with pytest.raises(ConfigError, match=problem) as err:
+            load_dataset(path)
+        assert str(path) in str(err.value)
+
+    def test_non_finite_feature(self, dataset, tmp_path):
+        selfie = dataset.selfie_features.copy()
+        selfie[17, 3] = np.nan
+        self.check(rewritten(tmp_path / "d.npz", dataset, tmp_path, "nan.npz", selfie=selfie),
+                   "non-finite features")
+
+    def test_missing_array(self, dataset, tmp_path):
+        self.check(rewritten(tmp_path / "d.npz", dataset, tmp_path, "nodoc.npz", doc=None),
+                   "doc is not a file")
+
+    def test_unknown_country_code(self, dataset, tmp_path):
+        countries = dataset.countries.copy()
+        countries[0] = "atlantis"
+        self.check(rewritten(tmp_path / "d.npz", dataset, tmp_path, "c.npz", country=countries),
+                   "unknown country codes")
+
+    def test_misaligned_column(self, dataset, tmp_path):
+        self.check(rewritten(tmp_path / "d.npz", dataset, tmp_path, "g.npz",
+                             gender=dataset.genders[:-1]),
+                   "column genders has length")
+
+    @pytest.mark.parametrize("content", [b"not a dataset archive", b"", b"PK\x03\x04 cut short"])
+    def test_not_a_zip_archive(self, tmp_path, content):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(content)
+        self.check(path, "is malformed")
+
+
 class TestEmbeddingExport:
     def test_roundtrip_and_contracts(self, dataset, tmp_path):
         net = EmbeddingNetwork.create(8, (8,), 6, "tanh", np.random.default_rng(0))

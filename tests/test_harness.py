@@ -594,6 +594,18 @@ class TestExport:
             export_embeddings(latest_checkpoint(cfg.output_dir), ds, tmp_path / "x.csv")
 
 
+def test_latest_checkpoint_is_the_largest_step(tmp_path):
+    # Names are padded to six digits, so step 10^6's name sorts before
+    # step 999,999's.
+    ckpts = tmp_path / "checkpoints"
+    ckpts.mkdir()
+    for name in ("ckpt_000010.npz", "ckpt_999999.npz", "ckpt_1000000.npz"):
+        (ckpts / name).touch()
+    assert latest_checkpoint(tmp_path) == ckpts / "ckpt_1000000.npz"
+    with pytest.raises(ConfigError):
+        latest_checkpoint(tmp_path / "empty")
+
+
 class TestReportAggregation:
     def test_summary_rows(self, tmp_path):
         cfg = tiny_config(tmp_path, "agg")
