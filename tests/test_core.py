@@ -448,6 +448,7 @@ class TestInOrderOnThreads:
     def test_buffers_built_on_the_calling_thread_once_per_thread(self, workers):
         made, used, held = [], [], set()
         lock = threading.Lock()
+        all_running = threading.Barrier(workers)  # the first items hold every buffer at once
 
         def new_buffer():
             made.append(threading.get_ident())
@@ -457,6 +458,8 @@ class TestInOrderOnThreads:
             with lock:
                 assert id(buffer) not in held  # no two running items share one
                 held.add(id(buffer))
+            if item < workers:
+                all_running.wait(timeout=10)
             used.append(buffer)
             with lock:
                 held.remove(id(buffer))
