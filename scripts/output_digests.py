@@ -25,7 +25,6 @@ where the library or its symbols are not found; stdout holds only digests.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import sys
 import tempfile
@@ -39,6 +38,7 @@ from fairtriplet.config import load_config
 from fairtriplet.harness import (
     TIMINGS_FILE,
     latest_checkpoint,
+    openblas_build,
     run_eval,
     run_training,
 )
@@ -67,25 +67,6 @@ def digests(root: Path):
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if path.name != TIMINGS_FILE:
             yield hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(root)
-
-
-def openblas_build() -> tuple[str, str] | None:
-    """``(core, config)`` of the OpenBLAS library numpy loaded, or None where
-    the library or its symbols are not found."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
-    except OSError:  # not Linux
-        libs = set()
-    for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_")
-        if all(hasattr(lib, name) for name in names):
-            core, config = (getattr(lib, name) for name in names)
-            core.argtypes = config.argtypes = []
-            core.restype = config.restype = ctypes.c_char_p
-            return core().decode(), config().decode()
-    return None
 
 
 def openblas_kernel() -> str:

@@ -10,6 +10,7 @@ changing one consumer never perturbs the others. Every output file except
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import time
@@ -89,6 +90,28 @@ def _pin_heap_thresholds() -> None:
 
 
 _pin_heap_thresholds()
+
+
+@functools.cache
+def openblas_build() -> tuple[str, str] | None:
+    """``(core, config)`` of the OpenBLAS library numpy loaded: the name of
+    the kernel it picked for this CPU and its build string. None where the
+    library or its symbols are not found."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:  # not Linux
+        libs = set()
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_")
+        if all(hasattr(lib, name) for name in names):
+            core, config = (getattr(lib, name) for name in names)
+            core.argtypes = config.argtypes = []
+            core.restype = config.restype = ctypes.c_char_p
+            return core().decode(), config().decode()
+    return None
+
 
 _STREAMS = {
     "datagen-train": 0,
@@ -309,9 +332,13 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
 
     record.final_step = step
     _dump_json(out / METRICS_FILE, record.to_dict())
+    core, config = openblas_build() or (None, None)
     _dump_json(out / TIMINGS_FILE, {
         "total_seconds": time.perf_counter() - t_start,
         "steps": step - start_step,
+        "numpy": np.__version__,
+        "openblas_core": core,
+        "openblas_config": config,
     })
     return record
 

@@ -44,6 +44,8 @@ class TrainingConfig:
             raise ConfigError("margin must be > 0")
         if min(self.batch_n, self.minibatch_size, self.total_steps, self.embed_dim) < 1:
             raise ConfigError("all counts must be positive")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ConfigError("hidden_dims entries must be >= 1")
         if self.batch_n < 2:
             raise ConfigError("batch_n must be >= 2")
         if self.minibatch_size > 2 * self.batch_n:
@@ -179,6 +181,8 @@ def loss_gradients(net: EmbeddingNetwork, features: np.ndarray, triplets,
     """
     a_idx, p_idx, n_idx = (np.asarray(t, dtype=np.int64) for t in triplets)
     t = len(a_idx)
+    if not len(p_idx) == len(n_idx) == t:
+        raise ValueError("anchor, positive and negative index arrays differ in length")
     if t == 0:
         raise ValueError("minibatch must be nonempty")
     used, inv = np.unique(np.concatenate([a_idx, p_idx, n_idx]), return_inverse=True)

@@ -116,6 +116,16 @@ def test_malformed_value_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dims", ["[0]", "[-3]", "[16, 0]"])
+def test_non_positive_hidden_dims_exit_code(config_path, tmp_path, capsys, dims):
+    text = config_path.read_text().replace("hidden_dims: [16]", f"hidden_dims: {dims}")
+    bad = tmp_path / "hidden_dims.yaml"
+    bad.write_text(text)
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    assert "hidden_dims" in capsys.readouterr().err
+
+
 def test_one_pair_pool_exit_code(config_path, tmp_path, capsys):
     # A one-pair pool has no within-group impostor comparison; the config is
     # refused before any data is generated.

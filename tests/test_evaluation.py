@@ -880,6 +880,122 @@ class TestCutsPerCall:
             far_matrix(pools, 1.0)
 
 
+def screened_sets(rng, n_selfies, n_docs, dim, unit):
+    """Selfies and docs with repeated ids, unit rows or rows of squared
+    norms spread over [0.25, 4]."""
+    selfie = normalize_rows(rng.normal(size=(n_selfies, dim)))
+    doc = normalize_rows(rng.normal(size=(n_docs, dim)))
+    if not unit:
+        selfie *= rng.uniform(0.5, 2.0, size=(n_selfies, 1))
+        doc *= rng.uniform(0.5, 2.0, size=(n_docs, 1))
+    return selfie, rng.integers(0, n_docs // 2, n_selfies), doc, rng.integers(0, n_docs // 2, n_docs)
+
+
+def float32_band_windows(selfie, selfie_ids, doc, doc_ids, theta):
+    """The windows whose float32 product has an impostor cell in the
+    screen's band ``(low, high]``."""
+    s, d = evaluation._side(selfie, selfie_ids), evaluation._side(doc, doc_ids)
+    cuts = core.product_cuts(theta, s.extremes[0], d.extremes[0], s.extremes[1], d.extremes[1])
+    low, high = evaluation._screen(s, d, cuts)
+    impostor = selfie_ids[:, None] != doc_ids[None, :]
+    band = []
+    for lo, rows in evaluation._tile_windows(len(selfie)):
+        g = (selfie[rows].astype(np.float32) @ doc.T.astype(np.float32))[lo - rows.start:]
+        if np.any((g > low) & (g <= high) & impostor[lo:lo + len(g)]):
+            band.append(rows)
+    return band
+
+
+def record_matmuls(monkeypatch):
+    """Wrap ``np.matmul``; returns the list of ``(dtype, a)`` of its calls."""
+    calls, matmul = [], np.matmul
+
+    def wrapped(a, b, *args, **kwargs):
+        calls.append((a.dtype, np.array(a)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", wrapped)
+    return calls
+
+
+class TestFloat32Screen:
+    """``far_counts`` decides windows on float32 products, widened by an
+    error bound, and recomputes in float64 only the undecided ones."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 64])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_counts_equal_the_distance_tiles(self, dim, unit):
+        rng = np.random.default_rng(60 + dim)
+        selfie, selfie_ids, doc, doc_ids = screened_sets(rng, 300, 170, dim, unit)
+        s, d = evaluation._side(selfie, selfie_ids), evaluation._side(doc, doc_ids)
+        assert evaluation._screen(s, d, core.product_cuts(1.0, 4, 4, 0.25, 0.25)) is not None
+        impostor = distance_tile_impostor_values(selfie, selfie_ids, doc, doc_ids)
+        cells = [d for _, d in distance_tiles(selfie, doc)]
+        own = np.concatenate([c[rng.integers(0, len(c), 4), rng.integers(0, len(doc), 4)]
+                              for c in cells])  # cell distances, impostor or not
+        thetas = np.concatenate([own, impostor[[0, 1, 5, len(impostor) // 2, -1]]])
+        for theta in thetas.tolist():
+            for t in (np.nextafter(theta, -np.inf), theta, np.nextafter(theta, np.inf)):
+                want = distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids, t)
+                assert want[0] == np.searchsorted(impostor, t, side="left")
+                assert far_counts(selfie, selfie_ids, doc, doc_ids, t) == want, t
+
+    def test_only_band_windows_take_the_float64_product(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        selfie, selfie_ids, doc, doc_ids = screened_sets(rng, 384, 200, 32, True)
+        tile = cross_squared_distances(selfie[128:256], doc)  # the second window
+        theta = float(np.sort(tile, axis=None)[20])  # a cell's own distance
+        band = float32_band_windows(selfie, selfie_ids, doc, doc_ids, theta)
+        assert slice(128, 256) in band and len(band) < 3
+        calls = record_matmuls(monkeypatch)
+        got = far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+        monkeypatch.undo()
+        assert got == distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+        assert [dtype for dtype, _ in calls].count(np.float32) == 3
+        float64 = [a for dtype, a in calls if dtype == np.float64]
+        assert len(float64) == len(band)
+        for a, rows in zip(float64, band):
+            assert np.array_equal(a, selfie[rows])
+        for theta in (1e-3, 100.0):  # every window decided by its float32 max or counts
+            calls = record_matmuls(monkeypatch)
+            far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+            monkeypatch.undo()
+            assert [dtype for dtype, _ in calls] == [np.float32] * 3
+
+    @pytest.mark.parametrize("scale", [2.0 ** 40, 2.0 ** -40])
+    def test_norms_out_of_range_take_the_float64_path(self, monkeypatch, scale):
+        # Squared norms of 2**80 and 2**-80 lie outside the screen's range,
+        # where float32 copies can overflow or lose digits to underflow.
+        rng = np.random.default_rng(67)
+        selfie, selfie_ids, doc, doc_ids = screened_sets(rng, 200, 150, 8, True)
+        selfie, doc = selfie * scale, doc * scale
+        impostor = distance_tile_impostor_values(selfie, selfie_ids, doc, doc_ids)
+        for theta in impostor[[0, 7, len(impostor) // 3]].tolist():
+            calls = record_matmuls(monkeypatch)
+            got = far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+            monkeypatch.undo()
+            assert got == distance_tile_far_counts(selfie, selfie_ids, doc, doc_ids, theta)
+            assert [dtype for dtype, _ in calls] == [np.float64] * 2
+
+    @pytest.mark.parametrize("dim", [1, 8, 32, 64, 500])
+    def test_error_bound_holds(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        worst = 0.0
+        for trial in range(12):
+            a = rng.normal(size=(64, dim)) * 10.0 ** rng.uniform(-3, 3, size=(64, 1))
+            b = rng.normal(size=(90, dim)) * 10.0 ** rng.uniform(-3, 3, size=(90, 1))
+            if trial % 3 == 0:  # same-signed terms: no cancellation hides the errors
+                a, b = np.abs(a), np.abs(b)
+            g64 = a @ b.T
+            g32 = (a.astype(np.float32) @ b.T.astype(np.float32)).astype(np.float64)
+            eps = evaluation._product_error_bound(dim, squared_norms(a).max(),
+                                                  squared_norms(b).max())
+            err = np.abs(g32 - g64).max()
+            assert err <= eps, (trial, err, eps)
+            worst = max(worst, err / eps)
+        assert worst > 1e-3  # the bound is not vacuously wide
+
+
 class TestRoc:
     def test_single_point_consistent_with_ops(self):
         es = make_eval_set(np.random.default_rng(17), 50)

@@ -1,6 +1,5 @@
 import ctypes
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -399,16 +398,22 @@ EVAL_DIGESTS = {
 }
 
 
-def openblas_core(monkeypatch) -> str:
-    """The core name of the OpenBLAS kernel numpy loaded, read as
-    scripts/output_digests.py reads it, or "unknown"."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
-    spec = importlib.util.spec_from_file_location(
-        "output_digests", REPO / "scripts" / "output_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    build = script.openblas_build()
+def openblas_core() -> str:
+    """The core name of the OpenBLAS kernel numpy loaded, or "unknown"."""
+    build = harness.openblas_build()
     return "unknown" if build is None else build[0]
+
+
+def test_timings_record_the_blas_build(tmp_path):
+    cfg = tiny_config(tmp_path, "timed", training=TrainingConfig(
+        total_steps=2, batch_n=128, minibatch_size=32, hidden_dims=(16,), embed_dim=8))
+    run_training(cfg)
+    timings = json.loads((Path(cfg.output_dir) / harness.TIMINGS_FILE).read_text())
+    core, config = harness.openblas_build() or (None, None)
+    assert timings["numpy"] == np.__version__
+    assert (timings["openblas_core"], timings["openblas_config"]) == (core, config)
+    if core is not None:
+        assert core in config  # the build string names the kernel it picked
 
 
 class TestEval:
@@ -422,7 +427,7 @@ class TestEval:
         for name in ("report.json", "roc.csv", "far_matrix_continent.csv"):
             assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
 
-    def test_eval_output_bytes_pinned(self, tmp_path, monkeypatch):
+    def test_eval_output_bytes_pinned(self, tmp_path):
         # A change to the float operation order anywhere in evaluation shows
         # here as a hash change. The hashes hold for one numpy/BLAS build and
         # one OpenBLAS kernel (other kernels round the products differently),
@@ -435,7 +440,7 @@ class TestEval:
         out = Path(cfg.output_dir) / "eval"
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("report.json", "far_matrix_country.csv", "roc.csv")}
-        kernel = openblas_core(monkeypatch)
+        kernel = openblas_core()
         assert kernel in EVAL_DIGESTS, f"no digests pinned for OpenBLAS kernel {kernel}: {digests}"
         assert digests == EVAL_DIGESTS[kernel]
 

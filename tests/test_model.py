@@ -194,6 +194,14 @@ class TestLossGradients:
         with pytest.raises(ValueError):
             loss_gradients(net, np.zeros((2, 6)), (np.array([]), np.array([]), np.array([])), 0.6)
 
+    @pytest.mark.parametrize("lengths", [(3, 4, 2), (3, 3, 2), (2, 3, 3)])
+    def test_misaligned_triplets_rejected(self, lengths):
+        net = make_net()
+        feats = np.random.default_rng(7).normal(size=(9, 6))
+        trips = tuple(np.arange(n) + 3 * k for k, n in enumerate(lengths))
+        with pytest.raises(ValueError, match="differ in length"):
+            loss_gradients(net, feats, trips, 0.6)
+
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
@@ -459,3 +467,8 @@ class TestTrainingConfig:
     def test_margin_positive(self):
         with pytest.raises(ConfigError):
             TrainingConfig(margin=0.0).validate()
+
+    @pytest.mark.parametrize("hidden_dims", [(0,), (-3,), (16, 0)])
+    def test_hidden_dims_positive(self, hidden_dims):
+        with pytest.raises(ConfigError, match="hidden_dims"):
+            TrainingConfig(hidden_dims=hidden_dims).validate()
