@@ -138,7 +138,6 @@ def _cmd_compare(args) -> int:
         if stem in cfgs:
             raise ConfigError(f"two configs named {stem!r} would share {out / stem}")
         cfgs[stem] = load_config(path).with_(output_dir=str(out / stem))
-        cfgs[stem].validate()
     for stem, cfg in cfgs.items():
         if _finished(cfg):
             print(f"{stem}: report of step {cfg.training.total_steps} exists, skipped")

@@ -1,5 +1,9 @@
 """Experiment configuration: YAML parsing, defaults, canonical hashing.
 
+Each section is a frozen value that checks itself in ``__post_init__``,
+from a file or in code, and ``replace``/``with_`` check again: a config
+that exists is valid.
+
 Config files are nested key/value YAML. The canonical serialization (sorted
 JSON of the fully resolved config) defines two hashes:
 
@@ -48,13 +52,18 @@ class SamplerConfig:
             return preset_weights(self.weights, self.axis)
         return dict(self.weights) if self.weights is not None else None
 
-    def build(self) -> SamplerSpec:
+    def __post_init__(self) -> None:
+        if self.axis not in ("continent", "country"):
+            raise ConfigError(f"sampler.axis must be continent or country, got {self.axis!r}")
         if self.variant in ("natural", "dynamic") and self.weights is not None:
             raise ConfigError(f"sampler.weights has no effect on a {self.variant} sampler")
         if self.variant == "dynamic" and self.lam <= 0:
             raise ConfigError("sampler.lam must be > 0")
         if self.variant == "dynamic" and not 0.0 < self.alpha_smooth <= 1.0:
             raise ConfigError("sampler.alpha_smooth must be in (0, 1]")
+        self.build()  # the spec checks the variant and the weights
+
+    def build(self) -> SamplerSpec:
         return SamplerSpec(variant=self.variant, axis=self.axis, weights=self.resolved_weights())
 
 
@@ -70,7 +79,7 @@ class EvalConfig:
     validation_every: int = 200       # training rounds between validations
     far_floor: float | None = None    # default: 1 / pool impostor comparisons
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.target_far <= 1:
             raise ConfigError("target_far must be in (0, 1]")
         if min(self.n_eval_pairs, self.group_pool_size, self.roc_points,
@@ -103,11 +112,7 @@ class ExperimentConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def validate(self) -> None:
-        self.data.validate()
-        self.training.validate()
-        self.eval.validate()
-        self.sampler.build()  # raises on bad sampler settings
+    def __post_init__(self) -> None:
         # Checked here, not in GeneratorConfig: per-country validation and
         # eval pools rekey the composition and keep the run's country_weights.
         by_country = not set(self.data.composition) <= set(CONTINENTS)
@@ -240,12 +245,10 @@ def _from_section(cls, raw: Any, where: str):
 def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     data = dict(_section(raw.get("data"), "data"))
     data_path = _coerce(str | None, data.pop("path", None), "data.path")
-    cfg = _from_section(ExperimentConfig, {**raw, "data": data}, "").with_(data_path=data_path)
     try:
-        cfg.validate()
+        return _from_section(ExperimentConfig, {**raw, "data": data}, "").with_(data_path=data_path)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

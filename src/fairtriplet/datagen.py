@@ -75,7 +75,7 @@ class GroupGeometry:
     # impostor hardness does not depend on how many countries a continent has.
     country_spread: float = 0.12
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.separation < 0:
             raise ConfigError("separation must be >= 0")
         if min(self.near_radius, self.far_radius, self.unknown_radius, self.country_spread) < 0:
@@ -114,7 +114,7 @@ class GeneratorConfig:
     duplicate_rate: float = 0.02
     geometry: GroupGeometry = GroupGeometry()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < len(CONTINENTS):
             raise ConfigError(f"input_dim must be >= {len(CONTINENTS)}")
         if self.n_pairs < 1:
@@ -154,7 +154,6 @@ class GeneratorConfig:
             raise ConfigError("duplicate_rate must be in [0, 1)")
         if self.domain_shift_strength < 0:
             raise ConfigError("domain_shift_strength must be >= 0")
-        self.geometry.validate()
 
     def with_(self, **kw) -> "GeneratorConfig":
         return replace(self, **kw)
@@ -176,7 +175,6 @@ def _geometry_rng(config: GeneratorConfig) -> np.random.Generator:
 
 
 def realize_geometry(config: GeneratorConfig) -> GeometryRealization:
-    config.validate()
     d = config.input_dim
     geo = config.geometry
     rng = _geometry_rng(config)
@@ -250,7 +248,6 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     by an earlier slot (independent noise, same identity id and label),
     mirroring the small repeated-identity contamination of production data.
     """
-    config.validate()
     real = realize_geometry(config)
     n, d = config.n_pairs, config.input_dim
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLING_STREAM]))

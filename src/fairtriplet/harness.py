@@ -231,7 +231,6 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     ``resume_from`` continues from a checkpoint of the identical config and
     reproduces the uninterrupted run exactly.
     """
-    cfg.validate()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tcfg = cfg.training
@@ -417,7 +416,6 @@ def run_eval(cfg: ExperimentConfig, checkpoint: str | Path,
              out_dir: str | Path | None = None) -> dict:
     """Evaluate a checkpoint on freshly derived evaluation data and write the
     JSON/CSV report files. Returns the report dict."""
-    cfg.validate()
     net, _, step, _, state = load_checkpoint(checkpoint)
     if state.get("model_hash") != cfg.model_hash():
         raise ConfigError(

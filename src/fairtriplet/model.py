@@ -39,7 +39,7 @@ class TrainingConfig:
     embed_dim: int = 32
     activation: str = "tanh"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.margin <= 0:
             raise ConfigError("margin must be > 0")
         if min(self.batch_n, self.minibatch_size, self.total_steps, self.embed_dim) < 1:

@@ -46,7 +46,7 @@ class TestGeometry:
 
     def test_far_radius_must_exceed_near(self):
         with pytest.raises(ConfigError):
-            GroupGeometry(near_radius=2.0, far_radius=1.0).validate()
+            GroupGeometry(near_radius=2.0, far_radius=1.0)
 
 
 class TestRenderPair:
@@ -156,7 +156,7 @@ class TestGenerateDataset:
 
     def test_composition_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(composition={"EU": 0.5, "AF": 0.4}).validate()
+            GeneratorConfig(composition={"EU": 0.5, "AF": 0.4})
 
     def test_country_composition_supported(self):
         cfg = GeneratorConfig(

@@ -458,17 +458,17 @@ class TestCheckpoint:
 
 class TestTrainingConfig:
     def test_defaults_valid(self):
-        TrainingConfig().validate()
+        TrainingConfig()
 
     def test_minibatch_bound(self):
         with pytest.raises(ConfigError):
-            TrainingConfig(batch_n=4, minibatch_size=9).validate()
+            TrainingConfig(batch_n=4, minibatch_size=9)
 
     def test_margin_positive(self):
         with pytest.raises(ConfigError):
-            TrainingConfig(margin=0.0).validate()
+            TrainingConfig(margin=0.0)
 
     @pytest.mark.parametrize("hidden_dims", [(0,), (-3,), (16, 0)])
     def test_hidden_dims_positive(self, hidden_dims):
         with pytest.raises(ConfigError, match="hidden_dims"):
-            TrainingConfig(hidden_dims=hidden_dims).validate()
+            TrainingConfig(hidden_dims=hidden_dims)
