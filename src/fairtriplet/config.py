@@ -246,7 +246,8 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     data = dict(_section(raw.get("data"), "data"))
     data_path = _coerce(str | None, data.pop("path", None), "data.path")
     try:
-        return _from_section(ExperimentConfig, {**raw, "data": data}, "").with_(data_path=data_path)
+        cfg = _from_section(ExperimentConfig, {**raw, "data": data}, "")
+        return cfg.with_(data_path=data_path)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -35,10 +35,10 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset file. Raises ``ConfigError`` naming the file when it is
-    not a dataset archive of this format and country table, lacks an array,
-    has misaligned columns or unknown codes, disagrees with its header or
-    holds a non-finite feature."""
+    """Read a dataset file. Raises ``ConfigError`` naming the file when it
+    cannot be read, is not a dataset archive of this format and country
+    table, lacks an array, has misaligned columns or unknown codes, disagrees
+    with its header or holds a non-finite feature."""
     try:
         with np.load(path) as z:
             if int(z["format_version"]) != DATASET_FORMAT_VERSION:
@@ -54,6 +54,8 @@ def load_dataset(path: str | Path) -> Dataset:
             )
             header = int(z["n_pairs"]), int(z["input_dim"])
             finite = np.isfinite(ds.selfie_features).all() and np.isfinite(ds.doc_features).all()
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset {path}: {e}") from None
     except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as e:
         raise ConfigError(f"dataset {path} is malformed: {e}") from None
     if header != (len(ds), ds.input_dim):

@@ -231,6 +231,8 @@ def run_training(cfg: ExperimentConfig, stop_after: int | None = None,
     ``resume_from`` continues from a checkpoint of the identical config and
     reproduces the uninterrupted run exactly.
     """
+    if stop_after is not None and stop_after < 1:
+        raise ConfigError(f"stop_after must be >= 1, got {stop_after}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tcfg = cfg.training

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -279,11 +280,16 @@ def save_checkpoint(path: str | Path, net: EmbeddingNetwork, state: OptimizerSta
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
-    """Load a checkpoint; rejects a mismatched config hash.
+    """Load a checkpoint; rejects a mismatched config hash. A file that cannot
+    be read as a checkpoint raises ``ConfigError`` naming it.
 
     Returns (net, optimizer_state, step, config_hash, run_state).
     """
-    with np.load(path) as z:
+    try:
+        archive = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
+    with archive as z:
         try:
             header = json.loads(z["header"].tobytes())
         except (KeyError, ValueError):

@@ -239,6 +239,64 @@ def test_malformed_dataset_file_exit_code(config_path, tmp_path, capsys):
     assert str(data_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis", ["bogus", "gender"])
+def test_unknown_sampler_axis_exit_code(config_path, tmp_path, monkeypatch, capsys, axis):
+    # The sampler draws by continent or country only; any other axis is
+    # refused when the config loads, before the training set is generated.
+    from fairtriplet import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(harness, "generate_dataset", refuse)
+    bad = tmp_path / "axis.yaml"
+    bad.write_text(config_path.read_text().replace("weights: equal",
+                                                   f"weights: equal\n  axis: {axis}"))
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert "sampler.axis" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "not_zip", "truncated"])
+def test_unreadable_checkpoint_exit_code(config_path, tmp_path, capsys, kind):
+    from fairtriplet.model import EmbeddingNetwork, OptimizerState, save_checkpoint
+
+    bad = tmp_path / f"{kind}.npz"
+    if kind == "not_zip":
+        bad.write_text("not a zip archive\n")
+    elif kind == "truncated":
+        net = EmbeddingNetwork.create(16, (16,), 8, "tanh", np.random.default_rng(0))
+        save_checkpoint(bad, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
+        bad.write_bytes(bad.read_bytes()[:-100])
+    assert main(["eval", "-c", str(config_path), "--checkpoint", str(bad)]) == EXIT_CONFIG
+    assert f"cannot read checkpoint {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "eval").exists()
+
+
+def test_resume_from_a_truncated_checkpoint_exit_code(config_path, tmp_path, capsys):
+    assert main(["train", "-c", str(config_path), "--stop-after", "2"]) == EXIT_OK
+    ckpt = tmp_path / "run" / "checkpoints" / "ckpt_000002.npz"
+    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+    assert main(["train", "-c", str(config_path), "--resume"]) == EXIT_CONFIG
+    assert f"cannot read checkpoint {ckpt}" in capsys.readouterr().err
+
+
+def test_missing_dataset_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.npz"
+    assert main(["export", "--checkpoint", str(tmp_path / "ckpt.npz"), "--data", str(missing),
+                 "-o", str(tmp_path / "emb.csv")]) == EXIT_CONFIG
+    assert f"cannot read dataset {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_stop_after_below_one_exit_code(config_path, tmp_path, capsys, rounds):
+    # A run stops after a round it has trained, so it cannot stop before the first.
+    assert main(["train", "-c", str(config_path), "--stop-after", rounds]) == EXIT_CONFIG
+    assert "stop_after must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_shorter_run_replaces_a_longer_runs_checkpoints(config_path, tmp_path, capsys):
     # A 6-round run, then a 4-round run of another config into the same
     # directory: eval must find the second run's last checkpoint, not the
