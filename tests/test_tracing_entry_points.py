@@ -5,6 +5,7 @@ keeps one span stack, so the program must call no wrapped function from a
 worker thread; the traced eval below fails if it does."""
 import json
 import math
+import threading
 from pathlib import Path
 
 from fairtriplet import evaluation, harness, mining
@@ -53,6 +54,49 @@ def test_threaded_far_matrix_keeps_traced_spans_nested(tmp_path, monkeypatch):
     matrix = [i for i, s in enumerate(spans) if s.name == "evaluation.far_matrix"]
     assert len(matrix) == 1
     assert list(descendants(children_index(spans), matrix[0])) == []
+
+
+def test_threaded_tile_passes_keep_traced_spans_nested(tmp_path, monkeypatch):
+    # The theta grid's and the two ROC splits' sorted tile passes on two
+    # worker threads, which must call no traced function (_tile_distances).
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from analysis import nesting_problems
+    from tracing import Tracer, traced
+
+    cfg = ExperimentConfig(
+        seed=5,
+        output_dir=str(tmp_path / "run"),
+        data=GeneratorConfig(n_pairs=1500, input_dim=16),
+        training=TrainingConfig(total_steps=3, batch_n=128, minibatch_size=32,
+                                hidden_dims=(16,), embed_dim=8),
+        sampler=SamplerConfig(variant="natural", axis="continent"),
+        eval=EvalConfig(target_far=1e-2, n_eval_pairs=300, group_pool_size=40,
+                        validation_every=3, roc_points=12, n_roc_splits=2),
+    )
+    run_training(cfg)
+    monkeypatch.setattr(evaluation, "worker_threads", lambda n: 2)
+    threads = set()
+    impostor_tile = evaluation._impostor_tile
+
+    def recording_tile(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return impostor_tile(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_impostor_tile", recording_tile)
+    span_threads = set()
+
+    class ThreadRecordingTracer(Tracer):
+        def enter(self, name):
+            span_threads.add(threading.get_ident())
+            return super().enter(name)
+
+    tracer = ThreadRecordingTracer()
+    with traced(tracer):
+        run_eval(cfg, latest_checkpoint(cfg.output_dir))
+    assert nesting_problems(tracer.spans) == []
+    # Spans that do not overlap nest on any thread; so check the threads too.
+    assert span_threads == {threading.get_ident()}
+    assert len(threads - span_threads) >= 2
 
 
 def test_threaded_miner_keeps_traced_spans_nested(tmp_path, monkeypatch):
