@@ -32,14 +32,14 @@ blocks, with none of the kernel's elementwise passes.
 The blocks run on ``core.in_order_on_threads`` (see its docstring and the
 README's "Worker threads"), one thread per eight blocks, each thread with a
 product buffer and a mask. Workers pack the selfie anchors' rows to bits and
-the document anchors' columns to bytes; the calling thread takes the blocks
-in block order, picks each block's selfie anchors, and puts its columns into
-an N x ceil(N/64)*8-byte bit matrix, whose rows it picks after the last
-block.
-A pick reads per-row candidate counts and the k-th set bit from word and
-byte popcounts and a byte lookup table. No N x N float matrix, boolean mask,
-transposed copy or N^2 nonzero scan is built: memory is O(N *
-MINE_BLOCK_ROWS) floats per thread plus N^2/8 bytes.
+write the document anchors' columns, as bytes, straight into an N x
+ceil(N/64)*8-byte bit matrix the calling thread allocated; each block owns
+its byte columns. The calling thread takes the blocks in block order, picks
+each block's selfie anchors, and picks the bit matrix's rows after the last
+block. A pick finds the word holding the k-th set bit of its row from word
+popcounts, then the bit from that word's 64 bits unpacked. No N x N float
+matrix, boolean mask, transposed copy or N^2 nonzero scan is built: memory
+is O(N * MINE_BLOCK_ROWS) floats per thread plus N^2/8 bytes.
 
 Negative draws consume randomness in a fixed order (one uniform per slot
 with candidates: all selfie-anchor slots in batch order, then all doc-anchor
@@ -68,8 +68,8 @@ from .core import (
 from .model import EmbeddingNetwork
 from .sampling import SamplerSpec, choose_homogeneous_group, probabilities
 
-# Selfie rows per mining block. A multiple of 8, so every block but the last
-# fills whole bytes of the doc-anchor bit matrix.
+# Selfie rows per mining block. A multiple of 8, so each block owns whole
+# byte columns of the doc-anchor bit matrix and no two workers write a byte.
 MINE_BLOCK_ROWS = 128
 
 # Doc-anchor rows per pick: one ``_pick_packed`` call draws for the doc
@@ -82,10 +82,7 @@ _PICK_ROWS = 8 * MINE_BLOCK_ROWS
 # a second thread only from 16 blocks (N > 1920) on.
 _BLOCKS_PER_THREAD = 8
 
-# Byte table for masks packed in little bit order (bit t of byte b is column
-# 8b + t): _SELECT[v, r] is the position of the r-th set bit of v.
-_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_SELECT = np.argsort(1 - _BITS, axis=1, kind="stable").astype(np.uint8)
+# Masks are packed in little bit order: bit t of byte b is column 8b + t.
 _BIT_WEIGHTS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
@@ -204,29 +201,23 @@ class _BlockBuffers(NamedTuple):
         return cls(np.empty((rows, n)), np.zeros(padded, dtype=bool))
 
 
-class _BlockBits(NamedTuple):
-    """A block's packed candidate masks, handed from a worker to the calling
-    thread: ``selfie_bits`` has the block's selfie anchors as rows, and
-    ``doc_bits`` is the block's byte columns of the doc-anchor bit matrix."""
-
-    r0: int
-    r1: int
-    selfie_bits: np.ndarray  # (r1 - r0, _packed_width(N))
-    doc_bits: np.ndarray     # (N, ceil((r1 - r0) / 8))
-
-
-def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
+def _block_bits(plan: _Plan, doc_bits: np.ndarray, r0: int,
+                buffers: _BlockBuffers) -> tuple[int, np.ndarray]:
     """Both orientations' candidate masks of the selfie rows [r0, r1),
-    packed. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for anchor
-    selfie_i and ``doc_mask[i - r0, j]`` marks selfie_i as a candidate for
-    anchor doc_j. Both are decided on the block's raw product ``g = selfie
+    packed. Returns ``(r0, selfie_bits)``, the block's selfie anchors as
+    rows, and writes the block's byte columns [r0 / 8, ceil(r1 / 8)) of the
+    doc-anchor bit matrix ``doc_bits`` (row = doc anchor), which no other
+    block touches. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for
+    anchor selfie_i and ``doc_mask[i - r0, j]`` marks selfie_i as a
+    candidate for anchor doc_j. Both are decided on the block's raw product ``g = selfie
     . doc``, whose matmul call and shape are those of the distance block
     ``cross_squared_distances`` would compute, so every decision is the
     one ``d < limit`` would make on that block's distances. Same-identity
     cells (the diagonal included), found from the round's sort of the
     identity ids rather than an N x N comparison, get the product -inf
     first, so neither decision takes them. Runs on worker threads: it
-    writes only to ``buffers`` and to the arrays it returns."""
+    writes only to ``buffers``, its own columns of ``doc_bits`` and the
+    array it returns."""
     n = len(plan.doc)
     r1 = min(r0 + MINE_BLOCK_ROWS, n)
     rows = r1 - r0
@@ -244,18 +235,20 @@ def _block_bits(plan: _Plan, r0: int, buffers: _BlockBuffers) -> _BlockBits:
     padded[rows:] = False
     # np.packbits(padded, axis=0, bitorder="little").T without numpy's slow
     # strided packing: bit t of byte b in row j is padded[8b + t, j].
-    doc_bits = np.einsum("btj,t->jb", padded[:, :n].view(np.uint8).reshape(-1, 8, n),
-                         _BIT_WEIGHTS)
-    return _BlockBits(r0, r1, selfie_bits, doc_bits)
+    # Assigned, as einsum(out=...) into the strided slice is ten times slower.
+    doc_bits[:, r0 // 8:(r1 + 7) // 8] = np.einsum(
+        "btj,t->jb", padded[:, :n].view(np.uint8).reshape(-1, 8, n), _BIT_WEIGHTS)
+    return r0, selfie_bits
 
 
-def _blocks(batch: MiningBatch, margin: float):
-    """Every block's ``_BlockBits``, in block order, to the calling thread:
+def _blocks(batch: MiningBatch, margin: float, doc_bits: np.ndarray):
+    """Every block's ``(r0, selfie_bits)``, in block order, to the calling
+    thread, with its columns already in ``doc_bits``:
     ``core.in_order_on_threads`` on ``worker_threads(#blocks //
     _BLOCKS_PER_THREAD)`` threads, with one ``_BlockBuffers`` per thread."""
     plan = _plan(batch, margin)
     starts = range(0, batch.n, MINE_BLOCK_ROWS)
-    return in_order_on_threads(starts, partial(_block_bits, plan),
+    return in_order_on_threads(starts, partial(_block_bits, plan, doc_bits),
                                partial(_BlockBuffers.for_batch, batch.n),
                                worker_threads(len(starts) // _BLOCKS_PER_THREAD))
 
@@ -266,9 +259,9 @@ def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     returns (rows, cols). ``bits`` is C-contiguous with whole uint64 words
     per row.
 
-    Every search runs on running totals over the flattened block: the global
-    rank of each pick, then the word holding it, then the byte within that
-    word, then the bit from the byte table."""
+    The word holding each pick is found on running word counts over the
+    flattened block, and the bit within it on running counts of that word's
+    64 unpacked bits."""
     words = bits.view(np.uint64)
     width = words.shape[1]
     word_counts = np.bitwise_count(words).ravel()
@@ -282,21 +275,9 @@ def _pick_packed(bits: np.ndarray, rng: np.random.Generator):
     target = row_end[rows] - counts[rows] + ks
     word = np.searchsorted(cum, target, side="right")
     rank = target - (cum[word] - word_counts[word])  # within the word
-    word_bytes = bits.reshape(-1, 8)[word].ravel()
-    byte_counts = np.bitwise_count(word_bytes)
-    byte_cum = np.cumsum(byte_counts, dtype=np.int64)
-    first = np.arange(0, word_bytes.size, 8)
-    target = byte_cum[first] - byte_counts[first] + rank
-    byte = np.searchsorted(byte_cum, target, side="right")
-    rank = target - (byte_cum[byte] - byte_counts[byte])  # within the byte
-    cols = (word - rows * width) * 64 + (byte - first) * 8 + _SELECT[word_bytes[byte], rank]
-    return rows, cols
-
-
-def _store_doc_bits(doc_bits: np.ndarray, bits: _BlockBits) -> None:
-    """Put a block's byte columns into the doc-anchor bit matrix (row = doc
-    anchor, N x _packed_width(N) bytes)."""
-    doc_bits[:, bits.r0 // 8:(bits.r1 + 7) // 8] = bits.doc_bits
+    in_word = np.unpackbits(bits.reshape(-1, 8)[word], axis=1, bitorder="little")
+    bit = np.argmax(np.cumsum(in_word, axis=1) > rank[:, None], axis=1)
+    return rows, (word - rows * width) * 64 + bit
 
 
 def mine_semi_hard(batch: MiningBatch, margin: float,
@@ -308,10 +289,9 @@ def mine_semi_hard(batch: MiningBatch, margin: float,
     doc_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)
     selfie_picks: list[tuple[np.ndarray, np.ndarray]] = []  # (anchor rows, negative cols)
 
-    for bits in _blocks(batch, margin):
-        _store_doc_bits(doc_bits, bits)
-        rows, cols = _pick_packed(bits.selfie_bits, rng)
-        selfie_picks.append((rows + bits.r0, cols))
+    for r0, selfie_bits in _blocks(batch, margin, doc_bits):
+        rows, cols = _pick_packed(selfie_bits, rng)
+        selfie_picks.append((rows + r0, cols))
     doc_picks = []
     for r0 in range(0, n, _PICK_ROWS):
         rows, cols = _pick_packed(doc_bits[r0:r0 + _PICK_ROWS], rng)
@@ -338,9 +318,8 @@ def semi_hard_candidates(batch: MiningBatch, margin: float) -> dict[tuple[int, s
     selfie_bits = np.zeros((n, _packed_width(n)), dtype=np.uint8)  # row = selfie anchor
     doc_bits = np.zeros_like(selfie_bits)
 
-    for bits in _blocks(batch, margin):
-        selfie_bits[bits.r0:bits.r1] = bits.selfie_bits
-        _store_doc_bits(doc_bits, bits)
+    for r0, bits in _blocks(batch, margin, doc_bits):
+        selfie_bits[r0:r0 + len(bits)] = bits
     by_selfie = np.unpackbits(selfie_bits, axis=1, count=n, bitorder="little")
     by_doc = np.unpackbits(doc_bits, axis=1, count=n, bitorder="little")
     out: dict[tuple[int, str], np.ndarray] = {}

@@ -336,6 +336,55 @@ class TestBlockedMiner:
         assert peak < n * n * 8 / 4
 
 
+class TestPickPacked:
+    """``_pick_packed`` against a direct unpack of each row: the pick is the
+    row's int(u * count)-th set column, with one uniform per nonempty row."""
+
+    @staticmethod
+    def packed(mask):
+        bits = np.zeros((len(mask), mining._packed_width(mask.shape[1])), dtype=np.uint8)
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        bits[:, :packed.shape[1]] = packed
+        return bits
+
+    @staticmethod
+    def reference(bits, rng):
+        rows, cols = [], []
+        for i, row in enumerate(bits):
+            count = int(np.bitwise_count(row).sum())
+            if count:
+                u = rng.random()
+                rows.append(i)
+                cols.append(np.flatnonzero(np.unpackbits(row, bitorder="little"))[int(u * count)])
+        return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [40, 64, 200, 320])  # one word wide up to five
+    def test_matches_unpacked_reference(self, n):
+        empty = np.zeros(n, dtype=bool)
+        rows = [np.ones(n, dtype=bool)] * 64  # every rank of a full word drawn
+        for col in (0, 7, 8, 63, 64, n - 1):
+            if col < n:
+                rows += [empty, np.eye(1, n, col, dtype=bool)[0]]
+        rows += [empty, empty, np.random.default_rng(n).random(n) < 0.5, empty]
+        bits = self.packed(np.array(rows))
+        rng = np.random.default_rng(n + 1)
+        want_rng = np.random.default_rng(n + 1)
+        got = mining._pick_packed(bits, rng)
+        want = self.reference(bits, want_rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # One uniform per nonempty row, and no more.
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        nonempty = np.random.default_rng(n + 1)
+        nonempty.random(int(np.any(bits, axis=1).sum()))
+        assert rng.bit_generator.state == nonempty.bit_generator.state
+
+    def test_empty_mask(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        rows, cols = mining._pick_packed(np.zeros((5, 16), dtype=np.uint8), rng)
+        assert rows.size == cols.size == 0 and rng.bit_generator.state == state
+
+
 def kernel_block_candidates(batch, margin):
     """Candidate sets from the distance kernel itself: ``d < limit`` on the
     same 128-row distance blocks the miner decides on, with the limits from
@@ -498,10 +547,9 @@ class TestProductCutMasks:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(core, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(mining, "_block_bits", lambda plan, r0, buffers: mining._BlockBits(
-            r0, min(r0 + MINE_BLOCK_ROWS, n),
-            np.zeros((min(MINE_BLOCK_ROWS, n - r0), mining._packed_width(n)), dtype=np.uint8),
-            np.zeros((n, -(-min(MINE_BLOCK_ROWS, n - r0) // 8)), dtype=np.uint8)))
+        monkeypatch.setattr(mining, "_block_bits", lambda plan, doc_bits, r0, buffers: (
+            r0,
+            np.zeros((min(MINE_BLOCK_ROWS, n - r0), mining._packed_width(n)), dtype=np.uint8)))
         batch = random_batch(np.random.default_rng(19), n)
         anchors, _, _ = mine_semi_hard(batch, 0.6, np.random.default_rng(20))
         assert started == pools_started and anchors.size == 0
