@@ -57,6 +57,11 @@ class SamplerConfig:
             raise ConfigError(f"sampler.axis must be continent or country, got {self.axis!r}")
         if self.variant in ("natural", "dynamic") and self.weights is not None:
             raise ConfigError(f"sampler.weights has no effect on a {self.variant} sampler")
+        if isinstance(self.weights, Mapping):
+            unknown = set(self.weights) - set(axis_groups(self.axis))
+            if unknown:
+                raise ConfigError(f"sampler.weights keys outside the {self.axis} groups: "
+                                  f"{sorted(unknown, key=str)}")
         if self.variant == "dynamic" and self.lam <= 0:
             raise ConfigError("sampler.lam must be > 0")
         if self.variant == "dynamic" and not 0.0 < self.alpha_smooth <= 1.0:

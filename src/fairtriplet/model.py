@@ -285,42 +285,44 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
 
     Returns (net, optimizer_state, step, config_hash, run_state).
     """
+    # Every member is read here, so a member that fails its CRC is refused
+    # like a file that does not open.
     try:
-        archive = np.load(path)
+        with np.load(path) as archive:
+            z = dict(archive)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
-    with archive as z:
-        try:
-            header = json.loads(z["header"].tobytes())
-        except (KeyError, ValueError):
-            header = None
-        if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
-            raise ConfigError(f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint")
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise ConfigError(f"{path}: checkpoint header lacks {missing}")
-        config_hash = header["config_hash"]
-        if expected_config_hash is not None and config_hash != expected_config_hash:
-            raise ConfigError(
-                f"checkpoint config hash {config_hash} does not match expected "
-                f"{expected_config_hash}"
-            )
-        try:
-            net = EmbeddingNetwork([np.zeros(s) for s in header["shapes"][0::2]],
-                                   [np.zeros(s) for s in header["shapes"][1::2]],
-                                   activation=header["activation"])
-            net.params = z["params"]
-            m, v = z["adam_m"], z["adam_v"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"{path}: header shapes do not fit the arrays: {e}") from None
-        if not m.shape == v.shape == net.params.shape:
-            raise ConfigError(f"{path}: Adam moments do not match the parameters")
-        state = OptimizerState(
-            m=m,
-            v=v,
-            step=header["adam_step"],
-            lr_init=header["lr_init"],
-            lr_final=header["lr_final"],
-            decay_steps=header["decay_steps"],
+    try:
+        header = json.loads(z["header"].tobytes())
+    except (KeyError, ValueError):
+        header = None
+    if not isinstance(header, dict) or header.get("version") != _CHECKPOINT_VERSION:
+        raise ConfigError(f"{path} is not a version-{_CHECKPOINT_VERSION} checkpoint")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise ConfigError(f"{path}: checkpoint header lacks {missing}")
+    config_hash = header["config_hash"]
+    if expected_config_hash is not None and config_hash != expected_config_hash:
+        raise ConfigError(
+            f"checkpoint config hash {config_hash} does not match expected "
+            f"{expected_config_hash}"
         )
+    try:
+        net = EmbeddingNetwork([np.zeros(s) for s in header["shapes"][0::2]],
+                               [np.zeros(s) for s in header["shapes"][1::2]],
+                               activation=header["activation"])
+        net.params = z["params"]
+        m, v = z["adam_m"], z["adam_v"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: header shapes do not fit the arrays: {e}") from None
+    if not m.shape == v.shape == net.params.shape:
+        raise ConfigError(f"{path}: Adam moments do not match the parameters")
+    state = OptimizerState(
+        m=m,
+        v=v,
+        step=header["adam_step"],
+        lr_init=header["lr_init"],
+        lr_final=header["lr_final"],
+        decay_steps=header["decay_steps"],
+    )
     return net, state, header["step"], config_hash, header["run_state"]

@@ -257,17 +257,45 @@ def test_unknown_sampler_axis_exit_code(config_path, tmp_path, monkeypatch, caps
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("kind", ["missing", "not_zip", "truncated"])
+@pytest.mark.parametrize("weights", ["{XX: 0.0, EU: 1.0, AF: 1.0}", "{XX: 1.0, EU: 1.0}",
+                                     "{poland: 1.0}"], ids=["zero", "positive", "country"])
+def test_unknown_sampler_weight_group_exit_code(config_path, tmp_path, monkeypatch, capsys,
+                                                weights):
+    # A weight for a group outside the continent axis is refused when the
+    # config loads, zero or not, before the training set is generated.
+    from fairtriplet import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(harness, "generate_dataset", refuse)
+    bad = tmp_path / "weights.yaml"
+    bad.write_text(config_path.read_text().replace("weights: equal", f"weights: {weights}"))
+    assert main(["train", "-c", str(bad)]) == EXIT_CONFIG
+    assert "sampler.weights" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "not_zip", "truncated", "crc-params", "crc-header"])
 def test_unreadable_checkpoint_exit_code(config_path, tmp_path, capsys, kind):
+    import zipfile
+
     from fairtriplet.model import EmbeddingNetwork, OptimizerState, save_checkpoint
 
     bad = tmp_path / f"{kind}.npz"
     if kind == "not_zip":
         bad.write_text("not a zip archive\n")
-    elif kind == "truncated":
+    elif kind != "missing":
         net = EmbeddingNetwork.create(16, (16,), 8, "tanh", np.random.default_rng(0))
         save_checkpoint(bad, net, OptimizerState.for_network(net, 1e-3, 1e-5, 7), 0, "x")
-        bad.write_bytes(bad.read_bytes()[:-100])
+        raw = bytearray(bad.read_bytes())
+        if kind == "truncated":
+            del raw[-100:]
+        else:  # flip the last byte of one stored member, so it fails its CRC
+            with zipfile.ZipFile(bad) as zf:
+                member = zf.read(kind.removeprefix("crc-") + ".npy")
+            raw[raw.index(member) + len(member) - 1] ^= 0xFF
+        bad.write_bytes(raw)
     assert main(["eval", "-c", str(config_path), "--checkpoint", str(bad)]) == EXIT_CONFIG
     assert f"cannot read checkpoint {bad}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "eval").exists()
