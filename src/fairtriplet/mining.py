@@ -209,13 +209,13 @@ def _block_bits(plan: _Plan, doc_bits: np.ndarray, r0: int,
     doc-anchor bit matrix ``doc_bits`` (row = doc anchor), which no other
     block touches. ``selfie_mask[i - r0, j]`` marks doc_j as a candidate for
     anchor selfie_i and ``doc_mask[i - r0, j]`` marks selfie_i as a
-    candidate for anchor doc_j. Both are decided on the block's raw product ``g = selfie
-    . doc``, whose matmul call and shape are those of the distance block
-    ``cross_squared_distances`` would compute, so every decision is the
-    one ``d < limit`` would make on that block's distances. Same-identity
-    cells (the diagonal included), found from the round's sort of the
-    identity ids rather than an N x N comparison, get the product -inf
-    first, so neither decision takes them. Runs on worker threads: it
+    candidate for anchor doc_j. Both are decided on the block's raw product
+    ``g = selfie . doc``, whose matmul call and shape are those of the
+    distance block ``cross_squared_distances`` would compute, so every
+    decision is the one ``d < limit`` would make on that block's distances.
+    Same-identity cells (the diagonal included), found from the round's sort
+    of the identity ids rather than an N x N comparison, get the product
+    -inf first, so neither decision takes them. Runs on worker threads: it
     writes only to ``buffers``, its own columns of ``doc_bits`` and the
     array it returns."""
     n = len(plan.doc)
